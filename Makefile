@@ -32,7 +32,7 @@ FUZZTIME ?= 30s
 BENCH_MAX_STATES ?= 20000
 BENCH_BUDGET ?= 30s
 
-.PHONY: all vet build test race fuzz bench bench-smoke bench-ci bench-baseline lint lint-fix lint-abs lint-sarif mplint ci
+.PHONY: all vet build test race fuzz bench bench-smoke bench-ci bench-baseline bench-e2e bench-compare bench-e2e-smoke lint lint-fix lint-abs lint-sarif mplint ci
 
 all: ci
 
@@ -82,6 +82,31 @@ bench-ci:
 
 bench-baseline:
 	$(GO) run ./cmd/mpbench -budget $(BENCH_BUDGET) -max-states $(BENCH_MAX_STATES) -out BENCH_baseline.json
+
+# bench/ (the benchmark BENCHMARK.json declares) is a module of its own, so
+# nothing above builds it: these targets are what keeps a core or explore
+# signature change from silently breaking it. `bench-e2e` is the full
+# measuring session (≈95 s, writes bench/out/result.json); `bench-compare
+# BASE=a.json CHANGE=b.json` compares two of its result files;
+# `bench-e2e-smoke` is the CI step — the benchmark's own tests, vet over the
+# traced build, and five seconds of every workload checked against its pins
+# (the driver line's failed count; no timing gate, a hosted runner cannot
+# carry one).
+BENCH_WORKLOADS := paxos-quorum-spor storage-single-unreduced small-suite paxos-quorum-spor-par2 paxos-quorum-bfs-par2
+bench-e2e:
+	$(GO) run -C bench .
+
+bench-compare:
+	$(GO) run -C bench . -compare $(abspath $(BASE)) $(abspath $(CHANGE))
+
+bench-e2e-smoke:
+	$(GO) -C bench test ./...
+	$(GO) -C bench vet -tags benchlayers ./...
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "bench smoke: $$w"; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0' \
+			|| { echo "bench smoke: $$w missed a pin or did not run"; exit 1; }; \
+	done
 
 lint:
 	$(GO) run ./cmd/mplint $(if $(ENTRYPOINTS),-entrypoints '$(ENTRYPOINTS)') ./...

@@ -1,60 +1,87 @@
 package core
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Bag is a multiset of in-flight messages: the union of all channel
-// contents. Channels are unordered per the MP model, so a counted set keyed
-// by canonical message encoding represents them faithfully.
+// contents. Channels are unordered per the MP model, so a counted set of
+// distinct messages represents them faithfully.
 //
-// The zero value is not ready to use; call NewBag.
+// The entries are kept sorted by canonical message key, each key computed
+// once when the message is added and cached inside it. Cloning is one slice
+// copy, Add/Remove/Count are a binary search, the canonical encoding is a
+// linear walk, and message matching is a scan that allocates nothing.
+//
+// The zero value is an empty bag.
 type Bag struct {
-	entries map[string]bagEntry
+	entries []bagEntry // ascending by msg.key, keys distinct
 	size    int
 }
 
 type bagEntry struct {
-	msg Message
+	msg Message // key cached
 	n   int
 }
 
 // NewBag returns an empty bag.
-func NewBag() *Bag {
-	return &Bag{entries: make(map[string]bagEntry)}
+func NewBag() *Bag { return &Bag{} }
+
+// find returns the position of key k in the entries, or the position at
+// which it would be inserted, and whether it is present.
+func (b *Bag) find(k string) (int, bool) {
+	lo, hi := 0, len(b.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.entries[mid].msg.key < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(b.entries) && b.entries[lo].msg.key == k
 }
 
 // Add inserts one copy of m.
 func (b *Bag) Add(m Message) {
-	k := m.Key()
-	e := b.entries[k]
-	e.msg = m
-	e.n++
-	b.entries[k] = e
+	m = m.withKey()
+	i, ok := b.find(m.key)
+	if ok {
+		b.entries[i].n++
+	} else {
+		b.entries = append(b.entries, bagEntry{})
+		copy(b.entries[i+1:], b.entries[i:])
+		b.entries[i] = bagEntry{msg: m, n: 1}
+	}
 	b.size++
 }
 
 // Remove deletes one copy of m. It reports whether a copy was present.
 func (b *Bag) Remove(m Message) bool {
-	k := m.Key()
-	e, ok := b.entries[k]
+	i, ok := b.find(m.Key())
 	if !ok {
 		return false
 	}
-	if e.n == 1 {
-		delete(b.entries, k)
+	if b.entries[i].n > 1 {
+		b.entries[i].n--
 	} else {
-		e.n--
-		b.entries[k] = e
+		last := len(b.entries) - 1
+		copy(b.entries[i:], b.entries[i+1:])
+		b.entries[last] = bagEntry{} // drop the payload reference
+		b.entries = b.entries[:last]
 	}
 	b.size--
 	return true
 }
 
 // Count returns the number of copies of m in the bag.
-func (b *Bag) Count(m Message) int { return b.entries[m.Key()].n }
+func (b *Bag) Count(m Message) int {
+	if i, ok := b.find(m.Key()); ok {
+		return b.entries[i].n
+	}
+	return 0
+}
 
 // Len returns the total number of messages (counting multiplicity).
 func (b *Bag) Len() int { return b.size }
@@ -64,80 +91,112 @@ func (b *Bag) Distinct() int { return len(b.entries) }
 
 // Clone returns an independent copy of the bag.
 func (b *Bag) Clone() *Bag {
-	nb := &Bag{entries: make(map[string]bagEntry, len(b.entries)), size: b.size}
-	//lint:nondet-ok map-to-map copy: insertion order of the clone is unobservable
-	for k, e := range b.entries {
-		nb.entries[k] = e
-	}
-	return nb
+	return &Bag{entries: append([]bagEntry(nil), b.entries...), size: b.size}
 }
 
 // Each calls f for every distinct message with its multiplicity, in
-// unspecified order.
+// ascending order of message key.
 func (b *Bag) Each(f func(m Message, n int)) {
-	//lint:nondet-ok unspecified order is the documented contract; every engine caller folds into commutative counts or sorts what it collects
-	for _, e := range b.entries {
-		f(e.msg, e.n)
+	for i := range b.entries {
+		f(b.entries[i].msg, b.entries[i].n)
 	}
 }
 
-// MatchingBySender collects the distinct pending messages addressed to
+// matches reports whether m is addressed to proc with the given type from a
+// sender allowed by peers (nil peers = any sender).
+func (m *Message) matches(proc ProcessID, typ string, peers []ProcessID) bool {
+	if m.To != proc || m.Type != typ {
+		return false
+	}
+	if peers == nil {
+		return true
+	}
+	for _, q := range peers {
+		if q == m.From {
+			return true
+		}
+	}
+	return false
+}
+
+// appendMatchingByKey appends to dst, in key order, the distinct pending
+// messages addressed to proc with the given type whose sender is allowed by
+// peers.
+func (b *Bag) appendMatchingByKey(dst []Message, proc ProcessID, typ string, peers []ProcessID) []Message {
+	for i := range b.entries {
+		if m := &b.entries[i].msg; m.matches(proc, typ, peers) {
+			dst = append(dst, *m)
+		}
+	}
+	return dst
+}
+
+// AppendMatching appends to dst the distinct pending messages addressed to
 // proc with the given type whose sender is allowed by peers (nil peers =
-// any sender). It returns the sorted list of senders that have at least one
-// candidate, and the candidates per sender sorted by message key.
+// any sender), grouped by sender in ascending numeric order and ordered by
+// message key within a sender. It allocates only to grow dst, so a caller
+// that reuses dst matches allocation-free.
 //
 // Multiplicity is irrelevant here: consuming any one of several identical
 // copies yields the same successor state, so one representative suffices.
-func (b *Bag) MatchingBySender(proc ProcessID, typ string, peers []ProcessID) ([]ProcessID, map[ProcessID][]Message) {
-	var allowed map[ProcessID]bool
-	if peers != nil {
-		allowed = make(map[ProcessID]bool, len(peers))
-		for _, p := range peers {
-			allowed[p] = true
-		}
-	}
-	bySender := make(map[ProcessID][]Message)
-	//lint:nondet-ok per-sender lists and the sender list are both sorted below
-	for _, e := range b.entries {
-		m := e.msg
-		if m.To != proc || m.Type != typ {
+func (b *Bag) AppendMatching(dst []Message, proc ProcessID, typ string, peers []ProcessID) []Message {
+	base := len(dst)
+	dst = b.appendMatchingByKey(dst, proc, typ, peers)
+	// Key order already groups by sender, but compares sender IDs as
+	// decimal strings ("10>…" < "2>…"). A stable insertion sort by
+	// numeric sender fixes the group order and is a single pass whenever
+	// the two orders agree (always, below ten processes).
+	ms := dst[base:]
+	for i := 1; i < len(ms); i++ {
+		if ms[i-1].From <= ms[i].From {
 			continue
 		}
-		if allowed != nil && !allowed[m.From] {
+		m := ms[i]
+		j := i
+		for ; j > 0 && ms[j-1].From > m.From; j-- {
+			ms[j] = ms[j-1]
+		}
+		ms[j] = m
+	}
+	return dst
+}
+
+// HasMatchingSenders reports whether at least q distinct allowed senders
+// have a pending message addressed to proc with the given type. It stops
+// at the q-th sender and never allocates.
+func (b *Bag) HasMatchingSenders(proc ProcessID, typ string, peers []ProcessID, q int) bool {
+	if q <= 0 {
+		return true
+	}
+	// Entries of one sender are contiguous in key order (they share the
+	// "<from>>" key prefix), so distinct senders are sender changes.
+	last := ProcessID(-1)
+	for i := range b.entries {
+		m := &b.entries[i].msg
+		if m.From == last || !m.matches(proc, typ, peers) {
 			continue
 		}
-		bySender[m.From] = append(bySender[m.From], m)
+		last = m.From
+		if q--; q == 0 {
+			return true
+		}
 	}
-	senders := make([]ProcessID, 0, len(bySender))
-	//lint:nondet-ok the in-place sort of each list and the sort.Slice on senders below erase any trace of iteration order
-	for p, msgs := range bySender {
-		sort.Slice(msgs, func(i, j int) bool { return msgs[i].Key() < msgs[j].Key() })
-		bySender[p] = msgs
-		senders = append(senders, p)
-	}
-	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-	return senders, bySender
+	return false
 }
 
 // HasMatching reports whether at least one pending message is addressed to
 // proc with the given type from an allowed sender.
 func (b *Bag) HasMatching(proc ProcessID, typ string, peers []ProcessID) bool {
-	senders, _ := b.MatchingBySender(proc, typ, peers)
-	return len(senders) > 0
+	return b.HasMatchingSenders(proc, typ, peers, 1)
 }
 
-// appendKey writes the canonical encoding of the bag: sorted message keys
-// with multiplicities.
+// appendKey writes the canonical encoding of the bag: message keys in
+// ascending order with multiplicities.
 func (b *Bag) appendKey(sb *strings.Builder) {
-	keys := make([]string, 0, len(b.entries))
-	for k := range b.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := b.entries[k]
+	for i := range b.entries {
+		e := &b.entries[i]
 		sb.WriteByte(';')
-		sb.WriteString(k)
+		sb.WriteString(e.msg.key)
 		if e.n > 1 {
 			sb.WriteByte('*')
 			sb.WriteString(strconv.Itoa(e.n))

@@ -81,29 +81,61 @@ func TestBagKeyDeterministicUnderPermutation(t *testing.T) {
 	}
 }
 
-func TestBagMatchingBySender(t *testing.T) {
+func TestBagAppendMatching(t *testing.T) {
 	b := NewBag()
 	b.Add(msg(0, 5, "X", 1))
-	b.Add(msg(1, 5, "X", 2))
 	b.Add(msg(1, 5, "X", 3)) // second distinct candidate from sender 1
+	b.Add(msg(1, 5, "X", 2))
 	b.Add(msg(2, 5, "X", 4))
+	b.Add(msg(2, 5, "X", 4)) // a second copy is not a second candidate
 	b.Add(msg(1, 5, "Y", 9)) // wrong type
+	b.Add(msg(1, 5, "XY", 9))
 	b.Add(msg(1, 6, "X", 9)) // wrong recipient
 
-	senders, bySender := b.MatchingBySender(5, "X", nil)
-	if want := []ProcessID{0, 1, 2}; !reflect.DeepEqual(senders, want) {
-		t.Fatalf("senders = %v, want %v", senders, want)
+	keys := func(ms []Message) []string {
+		var out []string
+		for _, m := range ms {
+			out = append(out, m.Key())
+		}
+		return out
 	}
-	if len(bySender[1]) != 2 {
-		t.Fatalf("sender 1 candidates = %d, want 2", len(bySender[1]))
+	got := keys(b.AppendMatching(nil, 5, "X", nil))
+	if want := []string{"0>5:X{1}", "1>5:X{2}", "1>5:X{3}", "2>5:X{4}"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("matching = %v, want %v", got, want)
 	}
-	// Peer restriction.
-	senders, _ = b.MatchingBySender(5, "X", []ProcessID{1, 2})
-	if want := []ProcessID{1, 2}; !reflect.DeepEqual(senders, want) {
-		t.Fatalf("peer-restricted senders = %v, want %v", senders, want)
+	// Peer restriction, appended behind what the caller already holds.
+	got = keys(b.AppendMatching([]Message{msg(9, 9, "KEEP", 0)}, 5, "X", []ProcessID{2, 0}))
+	if want := []string{"9>9:KEEP{0}", "0>5:X{1}", "2>5:X{4}"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("peer-restricted matching = %v, want %v", got, want)
 	}
-	if !b.HasMatching(5, "X", nil) || b.HasMatching(7, "X", nil) {
+	if !b.HasMatching(5, "X", nil) || b.HasMatching(7, "X", nil) || b.HasMatching(5, "X", []ProcessID{3}) {
 		t.Fatal("HasMatching wrong")
+	}
+	if !b.HasMatchingSenders(5, "X", nil, 3) || b.HasMatchingSenders(5, "X", nil, 4) ||
+		b.HasMatchingSenders(5, "X", []ProcessID{1}, 2) || !b.HasMatchingSenders(7, "X", nil, 0) {
+		t.Fatal("HasMatchingSenders wrong")
+	}
+}
+
+// TestBagSenderOrderIsNumeric pins the one place where the bag's key order
+// and the matching order differ: keys compare sender IDs as decimal
+// strings, matching groups them numerically.
+func TestBagSenderOrderIsNumeric(t *testing.T) {
+	b := NewBag()
+	for _, from := range []ProcessID{10, 2, 100, 1, 11} {
+		b.Add(msg(from, 0, "X", int(from)))
+		b.Add(msg(from, 0, "X", 0))
+	}
+	var eachOrder, matchOrder []ProcessID
+	b.Each(func(m Message, _ int) { eachOrder = append(eachOrder, m.From) })
+	for _, m := range b.AppendMatching(nil, 0, "X", nil) {
+		matchOrder = append(matchOrder, m.From)
+	}
+	if want := []ProcessID{100, 100, 10, 10, 11, 11, 1, 1, 2, 2}; !reflect.DeepEqual(eachOrder, want) {
+		t.Fatalf("Each order = %v, want key order %v", eachOrder, want)
+	}
+	if want := []ProcessID{1, 1, 2, 2, 10, 10, 11, 11, 100, 100}; !reflect.DeepEqual(matchOrder, want) {
+		t.Fatalf("matching order = %v, want numeric %v", matchOrder, want)
 	}
 }
 

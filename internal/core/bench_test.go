@@ -16,6 +16,7 @@ func benchBag(n int) *Bag {
 func BenchmarkBagAddRemove(b *testing.B) {
 	m := msg(0, 1, "T", 42)
 	bag := benchBag(24)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bag.Add(m)
@@ -25,6 +26,7 @@ func BenchmarkBagAddRemove(b *testing.B) {
 
 func BenchmarkBagClone(b *testing.B) {
 	bag := benchBag(24)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = bag.Clone()
@@ -33,6 +35,7 @@ func BenchmarkBagClone(b *testing.B) {
 
 func BenchmarkBagKey(b *testing.B) {
 	bag := benchBag(24)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = bag.Key()
@@ -43,6 +46,7 @@ func BenchmarkStateKey(b *testing.B) {
 	locals := []LocalState{
 		&counterState{N: 1}, &counterState{N: 2}, &counterState{N: 3}, &counterState{N: 4},
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewState(locals, benchBag(16))
@@ -91,6 +95,7 @@ func BenchmarkEnabledQuorum(b *testing.B) {
 				bag.Add(msg(ProcessID(i), ProcessID(senders), "Q", i))
 			}
 			s = NewState(s.Locals, bag)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = p.Enabled(s)
@@ -113,10 +118,55 @@ func BenchmarkExecute(b *testing.B) {
 	if len(events) == 0 {
 		b.Fatal("no events")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Execute(s, events[0]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// quorumBenchState is a state of the quorum bench protocol in which two of
+// COLLECT's three peers have a candidate pending among unrelated traffic.
+func quorumBenchState(b *testing.B, p *Protocol) *State {
+	b.Helper()
+	s, err := p.InitialState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bag := benchBag(16)
+	bag.Add(msg(0, 3, "Q", 1))
+	bag.Add(msg(1, 3, "Q", 2))
+	return NewState(s.Locals, bag)
+}
+
+// BenchmarkMatching measures the matching primitive Enabled and the DPOR
+// race check run per transition per state, into reused scratch.
+func BenchmarkMatching(b *testing.B) {
+	p := quorumBenchProtocol(b)
+	t, s := p.Transitions[0], quorumBenchState(b, p)
+	var ms []Message
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms = s.Msgs.AppendMatching(ms[:0], t.Proc, t.MsgType, t.Peers)
+	}
+	if len(ms) != 2 {
+		b.Fatalf("matched %d messages, want 2", len(ms))
+	}
+}
+
+// BenchmarkStructurallyEnabled measures the early-exit sender count the
+// POR closure asks of every disabled stubborn-set member.
+func BenchmarkStructurallyEnabled(b *testing.B) {
+	p := quorumBenchProtocol(b)
+	t, s := p.Transitions[0], quorumBenchState(b, p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !p.StructurallyEnabled(t, s) {
+			b.Fatal("quorum of 2 not met")
 		}
 	}
 }

@@ -22,6 +22,19 @@
 //     q_t messages of t's type from q_t distinct senders;
 //   - execution of events with copy-on-write state construction.
 //
+// The Bag of in-flight messages is a slice of (message, multiplicity)
+// entries sorted by canonical message key. A message's key is built once,
+// when Bag.Add first sees it, and cached inside the Message value, so every
+// message read back from a bag, an Event or a Ctx answers Key() without
+// rebuilding the string — which is also why a sent Message is immutable
+// (see Message). Cloning a bag is one slice copy, the state key walks the
+// entries in order, Bag.Each iterates in key order, and matching the
+// pending messages of a transition (AppendMatching, HasMatchingSenders) is
+// a scan into caller-owned scratch: Enabled allocates only the events it
+// returns, StructurallyEnabled and MissingSenders nothing on a complete
+// quorum. Matching orders senders numerically while keys order them as
+// decimal strings; the two differ from eleven processes on.
+//
 // Everything in this package is deterministic: enumeration orders, state
 // keys and event keys are stable across runs, which makes searches
 // reproducible and state graphs comparable (the property behind the paper's

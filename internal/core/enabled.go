@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // AnyQuorum, used as a Transition.Quorum value, selects unrestricted
@@ -30,80 +31,126 @@ const maxAnyQuorumPending = 20
 // are generated. PowersetSize quantifies the cost the paper's unrestricted
 // enumeration would pay.
 func (p *Protocol) Enabled(s *State) []Event {
+	sc := enumPool.Get().(*enumScratch)
 	var out []Event
 	for _, t := range p.Transitions {
-		out = appendEventsFor(out, t, s)
+		out = sc.appendEventsFor(out, t, s)
 	}
+	enumPool.Put(sc)
 	return out
 }
 
 // EnabledFor enumerates the executable events of a single transition.
 func (p *Protocol) EnabledFor(t *Transition, s *State) []Event {
-	return appendEventsFor(nil, t, s)
+	sc := enumPool.Get().(*enumScratch)
+	out := sc.appendEventsFor(nil, t, s)
+	enumPool.Put(sc)
+	return out
 }
 
-func appendEventsFor(out []Event, t *Transition, s *State) []Event {
+// enumScratch is the working memory of one enumeration: it is reused
+// across the transitions of an Enabled call and, through enumPool, across
+// calls, so enumerating allocates only the events it returns. The buffers
+// live on the heap because the candidate set is handed to the guard, an
+// indirect call the compiler must assume retains its argument.
+type enumScratch struct {
+	ms    []Message // matching messages, grouped by sender
+	group []int     // group g is ms[group[g]:group[g+1]]
+	combo []int     // the chosen groups, ascending
+	alt   []int     // the chosen alternative (index into ms) per chosen group
+	pick  []Message // the candidate set handed to the guard
+}
+
+// enumPool lets concurrent Enabled callers (ParallelBFS workers,
+// speculators) each work on a scratch of their own.
+var enumPool = sync.Pool{New: func() any { return new(enumScratch) }}
+
+func (sc *enumScratch) appendEventsFor(out []Event, t *Transition, s *State) []Event {
+	local := s.Locals[t.Proc]
 	if t.Spontaneous() {
-		if t.guardOK(s.Locals[t.Proc], nil) {
+		if t.guardOK(local, nil) {
 			out = append(out, Event{T: t})
 		}
 		return out
 	}
-	if !t.LocalGuardOK(s.Locals[t.Proc]) {
+	if !t.LocalGuardOK(local) {
 		return out
 	}
-	senders, bySender := s.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-	local := s.Locals[t.Proc]
 	if t.Quorum == AnyQuorum {
-		return appendSubsetEvents(out, t, local, senders, bySender)
+		sc.ms = s.Msgs.appendMatchingByKey(sc.ms[:0], t.Proc, t.MsgType, t.Peers)
+		return sc.appendSubsetEvents(out, t, local)
 	}
-	if len(senders) < t.Quorum {
+	sc.ms = s.Msgs.AppendMatching(sc.ms[:0], t.Proc, t.MsgType, t.Peers)
+	ms, q := sc.ms, t.Quorum
+	sc.group = sc.group[:0]
+	for i := range ms {
+		if i == 0 || ms[i].From != ms[i-1].From {
+			sc.group = append(sc.group, i)
+		}
+	}
+	groups := len(sc.group)
+	if groups < q {
 		return out
 	}
-	// Enumerate every size-q combination of senders; within a combination
-	// every per-sender alternative (distinct payloads from the same sender
+	sc.group = append(sc.group, len(ms))
+	group := sc.group
+	if cap(sc.combo) < q {
+		sc.combo, sc.alt = make([]int, q), make([]int, q)
+	}
+	if cap(sc.pick) < q {
+		sc.pick = make([]Message, q)
+	}
+	combo, alt, pick := sc.combo[:q], sc.alt[:q], sc.pick[:q]
+
+	// Enumerate every size-q combination of senders in lexicographic
+	// order; within a combination every per-sender alternative, the last
+	// sender's varying fastest (distinct payloads from the same sender
 	// are alternative choices, §II-A non-determinism).
-	combo := make([]ProcessID, t.Quorum)
-	var rec func(start, depth int)
-	pick := make([]Message, t.Quorum)
-	var cartesian func(d int)
-	cartesian = func(d int) {
-		if d == t.Quorum {
-			x := make([]Message, t.Quorum)
-			copy(x, pick)
-			SortMessages(x)
-			if t.guardOK(local, x) {
-				out = append(out, Event{T: t, Msgs: x})
+	for d := range combo {
+		combo[d] = d
+	}
+	for {
+		for d, g := range combo {
+			alt[d] = group[g]
+		}
+		for {
+			for d, i := range alt {
+				pick[d] = ms[i]
 			}
-			return
+			sortByKey(pick)
+			if t.guardOK(local, pick) {
+				out = append(out, Event{T: t, Msgs: append([]Message(nil), pick...)})
+			}
+			d := q - 1
+			for ; d >= 0; d-- {
+				if alt[d]++; alt[d] < group[combo[d]+1] {
+					break
+				}
+				alt[d] = group[combo[d]]
+			}
+			if d < 0 {
+				break
+			}
 		}
-		for _, m := range bySender[combo[d]] {
-			pick[d] = m
-			cartesian(d + 1)
+		d := q - 1
+		for d >= 0 && combo[d] == groups-q+d {
+			d--
+		}
+		if d < 0 {
+			return out
+		}
+		combo[d]++
+		for d++; d < q; d++ {
+			combo[d] = combo[d-1] + 1
 		}
 	}
-	rec = func(start, depth int) {
-		if depth == t.Quorum {
-			cartesian(0)
-			return
-		}
-		for i := start; i <= len(senders)-(t.Quorum-depth); i++ {
-			combo[depth] = senders[i]
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-	return out
 }
 
 // appendSubsetEvents enumerates every non-empty subset of the matching
-// pending messages (AnyQuorum semantics). All messages across senders are
-// flattened; subsets are generated in deterministic bitmask order.
-func appendSubsetEvents(out []Event, t *Transition, local LocalState, senders []ProcessID, bySender map[ProcessID][]Message) []Event {
-	var all []Message
-	for _, q := range senders {
-		all = append(all, bySender[q]...)
-	}
+// pending messages sc.ms, which are in key order (AnyQuorum semantics).
+// Subsets are generated in deterministic bitmask order.
+func (sc *enumScratch) appendSubsetEvents(out []Event, t *Transition, local LocalState) []Event {
+	all := sc.ms
 	if len(all) == 0 {
 		return out
 	}
@@ -111,16 +158,18 @@ func appendSubsetEvents(out []Event, t *Transition, local LocalState, senders []
 		panic(fmt.Sprintf("core: AnyQuorum transition %s faces %d pending messages (cap %d); bound the model",
 			t, len(all), maxAnyQuorumPending))
 	}
-	SortMessages(all)
+	if cap(sc.pick) < len(all) {
+		sc.pick = make([]Message, len(all))
+	}
 	for mask := 1; mask < 1<<len(all); mask++ {
-		x := make([]Message, 0, len(all))
+		x := sc.pick[:0]
 		for i := range all {
 			if mask&(1<<i) != 0 {
 				x = append(x, all[i])
 			}
 		}
 		if t.guardOK(local, x) {
-			out = append(out, Event{T: t, Msgs: x})
+			out = append(out, Event{T: t, Msgs: append([]Message(nil), x...)})
 		}
 	}
 	return out
@@ -131,37 +180,28 @@ func appendSubsetEvents(out []Event, t *Transition, local LocalState, senders []
 // por uses the distinction to pick necessary enabling sets. AnyQuorum
 // transitions are structurally enabled once a single candidate is pending.
 func (p *Protocol) StructurallyEnabled(t *Transition, s *State) bool {
-	if t.Spontaneous() {
-		return true
+	q := t.Quorum
+	if q == AnyQuorum {
+		q = 1
 	}
-	senders, _ := s.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-	if t.Quorum == AnyQuorum {
-		return len(senders) > 0
-	}
-	return len(senders) >= t.Quorum
+	return s.Msgs.HasMatchingSenders(t.Proc, t.MsgType, t.Peers, q)
 }
 
 // MissingSenders returns the allowed peers of t that currently have no
-// pending candidate message, when t is structurally disabled in s. For
-// transitions with nil Peers it returns nil (any process could supply the
-// missing messages). Package por's NET optimization narrows necessary
-// enabling transitions to feeders executed by missing senders.
+// pending candidate message, ascending. For transitions with nil Peers it
+// returns nil (any process could supply the missing messages). Package
+// por's NET optimization narrows necessary enabling transitions to feeders
+// executed by missing senders.
 func (p *Protocol) MissingSenders(t *Transition, s *State) []ProcessID {
-	if t.Peers == nil {
-		return nil
-	}
-	senders, _ := s.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-	have := make(map[ProcessID]bool, len(senders))
-	for _, q := range senders {
-		have[q] = true
-	}
 	var missing []ProcessID
 	for _, q := range t.Peers {
-		if !have[q] {
+		if !s.Msgs.HasMatching(t.Proc, t.MsgType, []ProcessID{q}) {
 			missing = append(missing, q)
 		}
 	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
+	if len(missing) > 1 {
+		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
+	}
 	return missing
 }
 

@@ -171,3 +171,34 @@ func TestPowersetSize(t *testing.T) {
 		t.Fatal("PowersetSize must saturate, not overflow")
 	}
 }
+
+// TestMatchingAllocatesNothing guards the point of the sorted-slice bag:
+// the queries the POR closure asks per stubborn-set member, and an
+// enumeration that finds nothing to return, stay off the heap.
+func TestMatchingAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	reject := func(LocalState, []Message) bool { return false }
+	p := quorumTestProtocol(t, 2, reject)
+	tr := p.Transitions[0]
+	complete := stateWithMsgs(p, t, msg(0, 3, "Q", 0), msg(1, 3, "Q", 0), msg(1, 3, "Q", 1), msg(2, 3, "Q", 0), msg(2, 0, "Q", 0))
+	if !complete.Msgs.HasMatching(3, "Q", tr.Peers) || !p.StructurallyEnabled(tr, complete) ||
+		len(p.MissingSenders(tr, complete)) != 0 || len(p.Enabled(complete)) != 0 {
+		t.Fatal("want a complete quorum whose every candidate set the guard rejects")
+	}
+	var sink bool
+	for name, f := range map[string]func(){
+		"HasMatching":         func() { sink = complete.Msgs.HasMatching(3, "Q", tr.Peers) },
+		"StructurallyEnabled": func() { sink = p.StructurallyEnabled(tr, complete) },
+		"MissingSenders":      func() { sink = p.MissingSenders(tr, complete) == nil },
+		"Enabled":             func() { sink = p.Enabled(complete) == nil },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 || !sink {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = complete.Msgs.Clone().Len() > 0 }); n > 2 {
+		t.Errorf("Bag.Clone: %v allocations per call, want at most 2", n)
+	}
+}

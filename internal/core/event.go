@@ -20,7 +20,7 @@ func (e Event) Key() string {
 	sb.WriteString(strconv.Itoa(e.T.idx))
 	for _, m := range e.Msgs {
 		sb.WriteByte(',')
-		m.appendKey(&sb)
+		sb.WriteString(m.Key())
 	}
 	return sb.String()
 }

@@ -93,17 +93,23 @@ func (p *Protocol) Execute(s *State, e Event) (*State, error) {
 // validateUniqueness checks the UniquePerSender claims of all transitions
 // against a reached state (debug mode): the static POR relies on them.
 func (p *Protocol) validateUniqueness(s *State) error {
+	var ms []Message
 	for _, t := range p.Transitions {
 		if !t.UniquePerSender {
 			continue
 		}
-		// Iterate the sorted sender list, not the map: with two offending
-		// senders the error reported must not depend on iteration order.
-		senders, bySender := s.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-		for _, q := range senders {
-			if msgs := bySender[q]; len(msgs) > 1 {
-				return fmt.Errorf("transition %s is marked UniquePerSender but sender %d has %d pending candidates in a reachable state", t, q, len(msgs))
+		// Senders arrive in ascending order: with two offending senders
+		// the error reported is the lower one's.
+		ms = s.Msgs.AppendMatching(ms[:0], t.Proc, t.MsgType, t.Peers)
+		for i := 0; i < len(ms); {
+			j := i + 1
+			for j < len(ms) && ms[j].From == ms[i].From {
+				j++
 			}
+			if j-i > 1 {
+				return fmt.Errorf("transition %s is marked UniquePerSender but sender %d has %d pending candidates in a reachable state", t, ms[i].From, j-i)
+			}
+			i = j
 		}
 	}
 	return nil

@@ -32,23 +32,29 @@ func (NoPayload) Key() string { return "" }
 // Message is a message in transit from one process to another. The paper's
 // channel c_{i,j} is recovered from the From/To fields, so a single global
 // bag of messages represents all channels.
+//
+// A Message is an immutable value once sent: Bag.Add caches its canonical
+// key inside the value, and every message handed out by a Bag, an Event or
+// a Ctx carries that cache. To change a field, build a new literal from the
+// fields you keep (Message{From: q, To: m.To, ...}) — assigning to a field
+// of a copy would leave the copy answering Key() with the original's key.
 type Message struct {
 	From    ProcessID
 	To      ProcessID
 	Type    string
 	Payload Payload
+
+	key string // cached canonical encoding; "" until withKey (no key is empty)
 }
 
 // Key returns the canonical encoding of the message. Messages are equal iff
 // their keys are equal.
 func (m Message) Key() string {
+	if m.key != "" {
+		return m.key
+	}
 	var sb strings.Builder
 	sb.Grow(16 + len(m.Type))
-	m.appendKey(&sb)
-	return sb.String()
-}
-
-func (m Message) appendKey(sb *strings.Builder) {
 	sb.WriteString(strconv.Itoa(int(m.From)))
 	sb.WriteByte('>')
 	sb.WriteString(strconv.Itoa(int(m.To)))
@@ -61,16 +67,39 @@ func (m Message) appendKey(sb *strings.Builder) {
 			sb.WriteByte('}')
 		}
 	}
+	return sb.String()
+}
+
+// withKey returns m with its canonical key cached.
+func (m Message) withKey() Message {
+	m.key = m.Key()
+	return m
 }
 
 // String returns a human-readable rendering of the message.
 func (m Message) String() string { return m.Key() }
 
-// SortMessages orders msgs by canonical key, in place. Transitions receive
-// their consumed message sets in this order; per the MP semantics the order
-// carries no meaning, but a deterministic order keeps searches reproducible.
+// SortMessages orders msgs by canonical key, in place, caching each
+// message's key on the way. Transitions receive their consumed message sets
+// in this order; per the MP semantics the order carries no meaning, but a
+// deterministic order keeps searches reproducible.
 func SortMessages(msgs []Message) {
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].Key() < msgs[j].Key() })
+	for i := range msgs {
+		msgs[i] = msgs[i].withKey()
+	}
+	sortByKey(msgs)
+}
+
+// sortByKey orders messages whose keys are cached. It is an insertion
+// sort: message sets are quorum-sized, and the enumeration's candidate sets
+// arrive ordered by numeric sender, which is key order already unless
+// sender IDs differ in digit count — one pass in the common case.
+func sortByKey(msgs []Message) {
+	for i := 1; i < len(msgs); i++ {
+		for j := i; j > 0 && msgs[j].key < msgs[j-1].key; j-- {
+			msgs[j], msgs[j-1] = msgs[j-1], msgs[j]
+		}
+	}
 }
 
 // Senders returns the set of distinct senders of msgs, ascending.

@@ -54,6 +54,28 @@ func TestNoPayloadKeyEmpty(t *testing.T) {
 	}
 }
 
+// TestMessageKeyOfDerivedMessage covers the stale-key hazard: a message
+// taken from a bag carries its cached key, so a changed copy must be built
+// as a fresh literal (what symmetry.Canon does to remap process IDs) for
+// Key to follow the change.
+func TestMessageKeyOfDerivedMessage(t *testing.T) {
+	b := NewBag()
+	b.Add(msg(1, 2, "T", 5))
+	var pending Message
+	b.Each(func(m Message, _ int) { pending = m })
+	if pending.key == "" || pending.Key() != "1>2:T{5}" {
+		t.Fatalf("message from the bag has key %q (cached %q), want 1>2:T{5} cached", pending.Key(), pending.key)
+	}
+	derived := Message{From: 3, To: pending.To, Type: pending.Type, Payload: pending.Payload}
+	if got := derived.Key(); got != "3>2:T{5}" {
+		t.Fatalf("derived message has key %q, want 3>2:T{5}", got)
+	}
+	b.Add(derived)
+	if b.Count(derived) != 1 || b.Count(pending) != 1 || b.Key() != ";1>2:T{5};3>2:T{5}" {
+		t.Fatalf("bag after adding the derived message: %s", b.Key())
+	}
+}
+
 func TestSortMessagesIsCanonical(t *testing.T) {
 	f := func(vals []uint8) bool {
 		if len(vals) == 0 {

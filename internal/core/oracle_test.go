@@ -1,0 +1,515 @@
+package core_test
+
+// The map-based multiset and the recursive quorum enumeration core used
+// before Bag became a key-sorted slice, kept as test oracles: the model
+// test drives random operation sequences through both representations, the
+// differential test compares Enabled event by event on every reachable
+// state of real models. The oracles go through the exported API only and
+// never read a cached key (fresh rebuilds every message from its fields).
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"mpbasset/internal/core"
+	"mpbasset/internal/mptest"
+	"mpbasset/internal/protocols/multicast"
+	"mpbasset/internal/protocols/paxos"
+	"mpbasset/internal/protocols/storage"
+)
+
+// fresh returns m as a new literal, so its Key is computed from the fields.
+func fresh(m core.Message) core.Message {
+	return core.Message{From: m.From, To: m.To, Type: m.Type, Payload: m.Payload}
+}
+
+type oracleEntry struct {
+	msg core.Message
+	n   int
+}
+
+type oracleBag struct {
+	entries map[string]oracleEntry
+	size    int
+}
+
+func newOracleBag() *oracleBag { return &oracleBag{entries: make(map[string]oracleEntry)} }
+
+// oracleOf copies a real bag into the oracle representation.
+func oracleOf(b *core.Bag) *oracleBag {
+	o := newOracleBag()
+	b.Each(func(m core.Message, n int) {
+		for ; n > 0; n-- {
+			o.add(m)
+		}
+	})
+	return o
+}
+
+func (b *oracleBag) add(m core.Message) {
+	m = fresh(m)
+	e := b.entries[m.Key()]
+	e.msg = m
+	e.n++
+	b.entries[m.Key()] = e
+	b.size++
+}
+
+func (b *oracleBag) remove(m core.Message) bool {
+	k := fresh(m).Key()
+	e, ok := b.entries[k]
+	if !ok {
+		return false
+	}
+	if e.n == 1 {
+		delete(b.entries, k)
+	} else {
+		e.n--
+		b.entries[k] = e
+	}
+	b.size--
+	return true
+}
+
+func (b *oracleBag) count(m core.Message) int { return b.entries[fresh(m).Key()].n }
+
+func (b *oracleBag) clone() *oracleBag {
+	nb := &oracleBag{entries: make(map[string]oracleEntry, len(b.entries)), size: b.size}
+	for k, e := range b.entries {
+		nb.entries[k] = e
+	}
+	return nb
+}
+
+func (b *oracleBag) key() string {
+	keys := make([]string, 0, len(b.entries))
+	for k := range b.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sb strings.Builder
+	for _, k := range keys {
+		sb.WriteByte(';')
+		sb.WriteString(k)
+		if n := b.entries[k].n; n > 1 {
+			sb.WriteByte('*')
+			sb.WriteString(strconv.Itoa(n))
+		}
+	}
+	return sb.String()
+}
+
+// matchingBySender is the old Bag.MatchingBySender: the senders with a
+// candidate, ascending numerically, and each sender's candidates by key.
+func (b *oracleBag) matchingBySender(proc core.ProcessID, typ string, peers []core.ProcessID) ([]core.ProcessID, map[core.ProcessID][]core.Message) {
+	var allowed map[core.ProcessID]bool
+	if peers != nil {
+		allowed = make(map[core.ProcessID]bool, len(peers))
+		for _, p := range peers {
+			allowed[p] = true
+		}
+	}
+	bySender := make(map[core.ProcessID][]core.Message)
+	for _, e := range b.entries {
+		m := e.msg
+		if m.To != proc || m.Type != typ {
+			continue
+		}
+		if allowed != nil && !allowed[m.From] {
+			continue
+		}
+		bySender[m.From] = append(bySender[m.From], m)
+	}
+	senders := make([]core.ProcessID, 0, len(bySender))
+	for p, msgs := range bySender {
+		sort.Slice(msgs, func(i, j int) bool { return msgs[i].Key() < msgs[j].Key() })
+		senders = append(senders, p)
+	}
+	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
+	return senders, bySender
+}
+
+// flatMatching is matchingBySender in the order AppendMatching promises.
+func (b *oracleBag) flatMatching(proc core.ProcessID, typ string, peers []core.ProcessID) []string {
+	senders, bySender := b.matchingBySender(proc, typ, peers)
+	var out []string
+	for _, q := range senders {
+		for _, m := range bySender[q] {
+			out = append(out, m.Key())
+		}
+	}
+	return out
+}
+
+func guardOK(t *core.Transition, local core.LocalState, msgs []core.Message) bool {
+	return t.LocalGuardOK(local) && (t.Guard == nil || t.Guard(local, msgs))
+}
+
+func sortFresh(msgs []core.Message) {
+	sort.Slice(msgs, func(i, j int) bool { return msgs[i].Key() < msgs[j].Key() })
+}
+
+// oracleEnabled is the old Protocol.Enabled: recursive sender combinations
+// times per-sender alternatives over the map-based matching.
+func oracleEnabled(p *core.Protocol, s *core.State) []core.Event {
+	bag := oracleOf(s.Msgs)
+	var out []core.Event
+	for _, t := range p.Transitions {
+		t := t
+		local := s.Locals[t.Proc]
+		if t.Spontaneous() {
+			if guardOK(t, local, nil) {
+				out = append(out, core.Event{T: t})
+			}
+			continue
+		}
+		if !t.LocalGuardOK(local) {
+			continue
+		}
+		senders, bySender := bag.matchingBySender(t.Proc, t.MsgType, t.Peers)
+		if t.Quorum == core.AnyQuorum {
+			var all []core.Message
+			for _, q := range senders {
+				all = append(all, bySender[q]...)
+			}
+			sortFresh(all)
+			for mask := 1; mask < 1<<len(all); mask++ {
+				var x []core.Message
+				for i := range all {
+					if mask&(1<<i) != 0 {
+						x = append(x, all[i])
+					}
+				}
+				if guardOK(t, local, x) {
+					out = append(out, core.Event{T: t, Msgs: x})
+				}
+			}
+			continue
+		}
+		if len(senders) < t.Quorum {
+			continue
+		}
+		combo := make([]core.ProcessID, t.Quorum)
+		pick := make([]core.Message, t.Quorum)
+		var cartesian func(d int)
+		cartesian = func(d int) {
+			if d == t.Quorum {
+				x := append([]core.Message(nil), pick...)
+				sortFresh(x)
+				if guardOK(t, local, x) {
+					out = append(out, core.Event{T: t, Msgs: x})
+				}
+				return
+			}
+			for _, m := range bySender[combo[d]] {
+				pick[d] = m
+				cartesian(d + 1)
+			}
+		}
+		var rec func(start, depth int)
+		rec = func(start, depth int) {
+			if depth == t.Quorum {
+				cartesian(0)
+				return
+			}
+			for i := start; i <= len(senders)-(t.Quorum-depth); i++ {
+				combo[depth] = senders[i]
+				rec(i+1, depth+1)
+			}
+		}
+		rec(0, 0)
+	}
+	return out
+}
+
+func oracleMissingSenders(t *core.Transition, bag *oracleBag) []core.ProcessID {
+	if t.Peers == nil {
+		return nil
+	}
+	senders, _ := bag.matchingBySender(t.Proc, t.MsgType, t.Peers)
+	have := make(map[core.ProcessID]bool, len(senders))
+	for _, q := range senders {
+		have[q] = true
+	}
+	var missing []core.ProcessID
+	for _, q := range t.Peers {
+		if !have[q] {
+			missing = append(missing, q)
+		}
+	}
+	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
+	return missing
+}
+
+type intPayload int
+
+func (p intPayload) Key() string { return strconv.Itoa(int(p)) }
+
+func msgKeys(msgs []core.Message) []string {
+	var out []string
+	for _, m := range msgs {
+		out = append(out, m.Key())
+	}
+	return out
+}
+
+// TestBagAgainstMapOracle drives random Add/Remove/Clone sequences through
+// Bag and the map-based oracle. Sender IDs reach past 10 (numeric and key
+// order of senders differ there), types include one that is a prefix of
+// another, payloads include none, and the small domain forces
+// multiplicities above one.
+func TestBagAgainstMapOracle(t *testing.T) {
+	froms := []core.ProcessID{0, 1, 2, 9, 10, 11, 12, 100}
+	types := []string{"A", "AB", "B"}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randMsg := func() core.Message {
+			m := core.Message{
+				From: froms[rng.Intn(len(froms))],
+				To:   core.ProcessID(rng.Intn(2)),
+				Type: types[rng.Intn(len(types))],
+			}
+			if v := rng.Intn(3); v > 0 {
+				m.Payload = intPayload(v)
+			}
+			return m
+		}
+		randPeers := func() []core.ProcessID {
+			if rng.Intn(3) == 0 {
+				return nil
+			}
+			peers := []core.ProcessID{}
+			for _, i := range rng.Perm(len(froms))[:rng.Intn(len(froms))] {
+				peers = append(peers, froms[i])
+			}
+			return peers
+		}
+		bag, oracle := core.NewBag(), newOracleBag()
+		var pending []core.Message // what was added, to make removals hit
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				m := randMsg()
+				bag.Add(m)
+				oracle.add(m)
+				pending = append(pending, m)
+			case op < 8:
+				m := randMsg()
+				if len(pending) > 0 && rng.Intn(4) > 0 {
+					m = pending[rng.Intn(len(pending))]
+				}
+				if got, want := bag.Remove(m), oracle.remove(m); got != want {
+					t.Fatalf("seed %d step %d: Remove(%s) = %v, oracle %v", seed, step, m, got, want)
+				}
+			default:
+				// Mutating either side of a Clone must leave the other's
+				// key alone; the search continues on the clone.
+				bagKey := bag.Key()
+				nb, no := bag.Clone(), oracle.clone()
+				m := randMsg()
+				nb.Add(m)
+				if bag.Key() != bagKey {
+					t.Fatalf("seed %d step %d: adding to the clone changed the original", seed, step)
+				}
+				nb.Remove(m)
+				for _, e := range pending {
+					bag.Remove(e)
+				}
+				if nb.Key() != bagKey {
+					t.Fatalf("seed %d step %d: emptying the original changed the clone:\n got %s\nwant %s", seed, step, nb.Key(), bagKey)
+				}
+				bag, oracle = nb, no
+			}
+			if got, want := bag.Key(), oracle.key(); got != want {
+				t.Fatalf("seed %d step %d: Key\n got %s\nwant %s", seed, step, got, want)
+			}
+			if bag.Len() != oracle.size || bag.Distinct() != len(oracle.entries) {
+				t.Fatalf("seed %d step %d: Len/Distinct = %d/%d, oracle %d/%d", seed, step,
+					bag.Len(), bag.Distinct(), oracle.size, len(oracle.entries))
+			}
+			if m := randMsg(); bag.Count(m) != oracle.count(m) {
+				t.Fatalf("seed %d step %d: Count(%s) = %d, oracle %d", seed, step, m, bag.Count(m), oracle.count(m))
+			}
+			proc, typ, peers := core.ProcessID(rng.Intn(2)), types[rng.Intn(len(types))], randPeers()
+			got := msgKeys(bag.AppendMatching(nil, proc, typ, peers))
+			want := oracle.flatMatching(proc, typ, peers)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: AppendMatching(%d, %s, %v)\n got %v\nwant %v", seed, step, proc, typ, peers, got, want)
+			}
+			senders, _ := oracle.matchingBySender(proc, typ, peers)
+			if bag.HasMatching(proc, typ, peers) != (len(senders) > 0) {
+				t.Fatalf("seed %d step %d: HasMatching(%d, %s, %v) disagrees with %d senders", seed, step, proc, typ, peers, len(senders))
+			}
+			for q := 0; q <= len(senders)+1; q++ {
+				if bag.HasMatchingSenders(proc, typ, peers, q) != (len(senders) >= q) {
+					t.Fatalf("seed %d step %d: HasMatchingSenders(%d, %s, %v, %d) disagrees with %d senders", seed, step, proc, typ, peers, q, len(senders))
+				}
+			}
+		}
+	}
+}
+
+// assertEnabledMatchesOracle walks the reachable states of p breadth-first,
+// at most maxStates of them, and requires Enabled to return the oracle's
+// event sequence — same transitions, same message sets, same order — and
+// StructurallyEnabled / MissingSenders to agree with the oracle's matching.
+func assertEnabledMatchesOracle(t *testing.T, p *core.Protocol, maxStates int) {
+	t.Helper()
+	init, err := p.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{init.Key(): true}
+	queue := []*core.State{init}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		got, want := p.Enabled(s), oracleEnabled(p, s)
+		if len(got) != len(want) {
+			t.Fatalf("%s at %s: %d events, oracle %d", p.Name, s, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].T != want[i].T || !reflect.DeepEqual(msgKeys(got[i].Msgs), msgKeys(want[i].Msgs)) {
+				t.Fatalf("%s at %s: event %d is %s, oracle %s", p.Name, s, i, got[i], want[i])
+			}
+			if got[i].Key() != want[i].Key() {
+				t.Fatalf("%s at %s: event %d has key %s, oracle %s", p.Name, s, i, got[i].Key(), want[i].Key())
+			}
+		}
+		bag := oracleOf(s.Msgs)
+		for _, tr := range p.Transitions {
+			senders, _ := bag.matchingBySender(tr.Proc, tr.MsgType, tr.Peers)
+			structural := tr.Spontaneous() || len(senders) >= tr.Quorum
+			if tr.Quorum == core.AnyQuorum {
+				structural = len(senders) > 0
+			}
+			if p.StructurallyEnabled(tr, s) != structural {
+				t.Fatalf("%s at %s: StructurallyEnabled(%s) = %v, oracle %v", p.Name, s, tr, !structural, structural)
+			}
+			if got, want := p.MissingSenders(tr, s), oracleMissingSenders(tr, bag); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s at %s: MissingSenders(%s) = %v, oracle %v", p.Name, s, tr, got, want)
+			}
+		}
+		for _, ev := range got {
+			ns, err := p.Execute(s, ev)
+			if err != nil {
+				t.Fatalf("%s: execute %s: %v", p.Name, ev, err)
+			}
+			if len(seen) < maxStates && !seen[ns.Key()] {
+				seen[ns.Key()] = true
+				queue = append(queue, ns)
+			}
+		}
+	}
+	t.Logf("%s: %d states compared", p.Name, len(seen))
+}
+
+func TestEnabledAgainstRecursiveOracleOnBundledModels(t *testing.T) {
+	build := func(p *core.Protocol, err error) *core.Protocol {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	models := []*core.Protocol{
+		build(paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1})),
+		build(paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle})),
+		build(multicast.New(multicast.Config{HonestReceivers: 3, HonestInitiators: 1, ByzantineReceivers: 1, ByzantineInitiators: 1})),
+		build(multicast.New(multicast.Config{HonestReceivers: 2, HonestInitiators: 1, ByzantineInitiators: 1, Model: multicast.ModelSingle})),
+		build(storage.New(storage.Config{Objects: 3, Readers: 2})),
+		build(storage.New(storage.Config{Objects: 3, Readers: 1, Writes: 1, Model: storage.ModelSingle})),
+	}
+	maxStates := 3000
+	if testing.Short() {
+		maxStates = 300
+	}
+	for _, p := range models {
+		assertEnabledMatchesOracle(t, p, maxStates)
+	}
+}
+
+func TestEnabledAgainstRecursiveOracleOnRandomProtocols(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		p, err := mptest.Random(mptest.GenConfig{Seed: seed, Quorums: true, AnyQuorums: seed%2 == 0, Cycles: seed%3 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEnabledMatchesOracle(t, p, 1500)
+	}
+}
+
+// voteState counts the collections a collector has made.
+type voteState struct{ done int }
+
+func (s *voteState) Key() string            { return strconv.Itoa(s.done) }
+func (s *voteState) Clone() core.LocalState { c := *s; return &c }
+
+// wideQuorumProtocol has thirteen processes, so sender IDs on both sides of
+// ten: 1, 2, 10 and 11 each hold two alternative votes for collector 12,
+// which runs a quorum-3 transition over all of them, a guarded quorum-2
+// transition over {2, 10, 11}, and an AnyQuorum transition over {2, 10}.
+// Message keys order the senders 10 < 11 < 1 < 2; events must order them
+// 1 < 2 < 10 < 11.
+func wideQuorumProtocol(t *testing.T) *core.Protocol {
+	t.Helper()
+	const collector = 12
+	var initial []core.Message
+	for _, from := range []core.ProcessID{11, 2, 10, 1} {
+		for v := 2; v > 0; v-- {
+			initial = append(initial, core.Message{From: from, To: collector, Type: "VOTE", Payload: intPayload(v)})
+		}
+	}
+	collect := func(c *core.Ctx) { c.Local.(*voteState).done++ }
+	once := func(l core.LocalState) bool { return l.(*voteState).done < 2 }
+	p := &core.Protocol{
+		Name:            "wide-quorum",
+		N:               collector + 1,
+		InitialMessages: initial,
+		Init: func() []core.LocalState {
+			ls := make([]core.LocalState, collector+1)
+			for i := range ls {
+				ls[i] = &voteState{}
+			}
+			return ls
+		},
+		Transitions: []*core.Transition{
+			{Name: "ALL3", Proc: collector, MsgType: "VOTE", Quorum: 3, LocalGuard: once, Apply: collect},
+			{Name: "SOME2", Proc: collector, MsgType: "VOTE", Quorum: 2, Peers: []core.ProcessID{11, 2, 10},
+				LocalGuard: once, Apply: collect,
+				Guard: func(_ core.LocalState, msgs []core.Message) bool {
+					return msgs[0].Payload.Key() == msgs[1].Payload.Key()
+				}},
+			{Name: "ANY", Proc: collector, MsgType: "VOTE", Quorum: core.AnyQuorum, Peers: []core.ProcessID{10, 2},
+				LocalGuard: once, Apply: collect,
+				Guard: func(_ core.LocalState, msgs []core.Message) bool { return len(msgs) <= 2 }},
+		},
+	}
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestEnabledAgainstRecursiveOracleOnWideQuorums(t *testing.T) {
+	p := wideQuorumProtocol(t)
+	assertEnabledMatchesOracle(t, p, 2000)
+
+	// And pin the order itself, not only agreement with the oracle.
+	s, err := p.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := p.Enabled(s)[0]
+	if got, want := fmt.Sprint(first.Senders()), "[1 2 10]"; got != want {
+		t.Fatalf("first event consumes from senders %s, want %s (numeric sender order)", got, want)
+	}
+	if got, want := fmt.Sprint(msgKeys(first.Msgs)), "[10>12:VOTE{1} 1>12:VOTE{1} 2>12:VOTE{1}]"; got != want {
+		t.Fatalf("first event's messages are %s, want %s (key order)", got, want)
+	}
+}

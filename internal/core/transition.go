@@ -23,7 +23,8 @@ type SendSpec struct {
 
 // Guard decides whether a transition may consume the given message set in
 // the given local state (§II-A). msgs is sorted by canonical key; the order
-// carries no meaning. Guards must be pure: no mutation, no sends.
+// carries no meaning. Guards must be pure: no mutation, no sends, and no
+// reference to msgs kept past the call (enumeration reuses the slice).
 type Guard func(local LocalState, msgs []Message) bool
 
 // Apply executes the body of a transition. It may mutate c.Local (a private

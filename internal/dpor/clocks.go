@@ -57,8 +57,9 @@ func (e *engine) unrecordExecution(f *frame) {
 	f.sent = nil
 }
 
-// sentKeys computes the keys of the messages ev added to the bag: the
-// successor's bag minus (the predecessor's bag minus the consumed set).
+// sentKeys computes the keys of the messages ev added to the bag, in
+// ascending order: the successor's bag minus (the predecessor's bag minus
+// the consumed set).
 func sentKeys(prev, next *core.State, ev core.Event) []string {
 	var out []string
 	consumed := make(map[string]int, len(ev.Msgs))

@@ -103,7 +103,9 @@ type engine struct {
 	// sendClocks maps a message key to the stack of vector clocks of its
 	// (possibly repeated) send events along the current path.
 	sendClocks map[string][][]int
-	res        explore.Result
+	// pending is raceCheckPending's message-matching scratch.
+	pending []core.Message
+	res     explore.Result
 	// Speculation hooks, set only by ExploreParallel: memo is the table of
 	// worker-built expansion records push consumes; publish announces a
 	// newly scheduled backtrack point as a steal target; specHits counts
@@ -147,10 +149,7 @@ func (e *engine) run() (*explore.Result, error) {
 		// A frame pushed with a speculative record replays the memoized
 		// successor — Execute result, sent-message keys and invariant check
 		// are pure functions of (state, event), so the record equals what
-		// the inline computation below would produce. (Sole caveat: the
-		// sent keys follow Bag.Each's unspecified iteration order, so the
-		// record's slice may be a permutation of the inline one — harmless,
-		// since every consumer of frame.sent folds it into a set.)
+		// the inline computation below would produce.
 		var ns *core.State
 		var sent []string
 		var verr error
@@ -220,16 +219,13 @@ func (e *engine) raceCheckPending() {
 		if t.Quorum != 1 {
 			continue
 		}
-		_, bySender := ns.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-		//lint:nondet-ok race updates commute: each event's backtrack insertions depend only on (event, parent), not on the order senders are visited
-		for _, msgs := range bySender {
-			for _, m := range msgs {
-				u := core.Event{T: t, Msgs: []core.Message{m}}
-				if newKeys[m.Key()] {
-					e.updateRacesFrom(u, parentIdx)
-				} else {
-					e.updateRacesAt(u, parentIdx)
-				}
+		e.pending = ns.Msgs.AppendMatching(e.pending[:0], t.Proc, t.MsgType, t.Peers)
+		for _, m := range e.pending {
+			u := core.Event{T: t, Msgs: []core.Message{m}}
+			if newKeys[m.Key()] {
+				e.updateRacesFrom(u, parentIdx)
+			} else {
+				e.updateRacesAt(u, parentIdx)
 			}
 		}
 	}

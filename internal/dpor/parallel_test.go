@@ -2,6 +2,7 @@ package dpor_test
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,50 @@ func assertBitIdentical(t *testing.T, p *core.Protocol, cfg dpor.Config) {
 		if !reflect.DeepEqual(par.Trace, seq.Trace) {
 			t.Errorf("%s w=%d sleep=%v: trace diverges (%d steps vs %d)", p.Name, w, cfg.SleepSets, len(par.Trace), len(seq.Trace))
 		}
+	}
+}
+
+// TestSpeculativeSentKeysMatchInlineOrder pins what Bag.Each's key order
+// buys the parallel engine: the sent-message keys a speculative record
+// memoizes are the inline computation's slice, element for element and
+// ascending — not merely the same set, as they were while the bag iterated
+// in map order.
+func TestSpeculativeSentKeysMatchInlineOrder(t *testing.T) {
+	p, err := storage.New(storage.Config{Objects: 3, Readers: 1, Model: storage.ModelSingle, Writes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	broadcasts := 0
+	for depth := 0; depth < 12; depth++ {
+		inline, spec, err := dpor.SentKeys(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spec, inline) {
+			t.Fatalf("depth %d: speculative sent keys %v, inline %v", depth, spec, inline)
+		}
+		for _, keys := range inline {
+			if !sort.StringsAreSorted(keys) {
+				t.Fatalf("depth %d: sent keys %v are not ascending", depth, keys)
+			}
+			if len(keys) > 1 {
+				broadcasts++
+			}
+		}
+		enabled := p.Enabled(s)
+		if len(enabled) == 0 {
+			break
+		}
+		if s, err = p.Execute(s, enabled[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if broadcasts == 0 {
+		t.Fatal("no event on the walked path sent two messages; the order was never exercised")
 	}
 }
 

@@ -39,9 +39,8 @@ type specTarget struct {
 
 // specSucc is one successor of a speculatively expanded state: the reached
 // state, its key, the keys of the messages the event sent (the bag
-// difference recordExecution needs for the vector clocks; a set — its order
-// follows Bag.Each and may differ from the inline computation's) and the
-// memoized invariant-check result. err defers an Execute failure to the
+// difference recordExecution needs for the vector clocks, ascending as
+// sentKeys returns them) and the memoized invariant-check result. err defers an Execute failure to the
 // exact commit step where sequential DPOR would have failed.
 type specSucc struct {
 	st   *core.State

@@ -54,15 +54,8 @@ func RenderTrace(w io.Writer, p *core.Protocol, trace []Step) error {
 // sorted, with multiplicities rendered as repeats.
 func bagDiff(before, after *core.Bag) (added, removed []string) {
 	counts := make(map[string]int)
-	keyOf := make(map[string]core.Message)
-	before.Each(func(m core.Message, n int) {
-		counts[m.Key()] -= n
-		keyOf[m.Key()] = m
-	})
-	after.Each(func(m core.Message, n int) {
-		counts[m.Key()] += n
-		keyOf[m.Key()] = m
-	})
+	before.Each(func(m core.Message, n int) { counts[m.Key()] -= n })
+	after.Each(func(m core.Message, n int) { counts[m.Key()] += n })
 	//lint:nondet-ok diff accumulation commutes; added and removed are sorted below
 	for k, d := range counts {
 		for i := 0; i < d; i++ {

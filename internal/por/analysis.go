@@ -258,15 +258,11 @@ func (a *Analysis) growthFeeders(i int, s *core.State, disableUniqueness bool) [
 	if !t.UniquePerSender || disableUniqueness {
 		return a.allFeeders(i)
 	}
-	contributing, _ := s.Msgs.MatchingBySender(t.Proc, t.MsgType, t.Peers)
-	have := make(map[core.ProcessID]bool, len(contributing))
-	for _, q := range contributing {
-		have[q] = true
-	}
 	var out []int
 	//lint:nondet-ok out is sorted before return
 	for q, fs := range a.feeders[i] {
-		if !have[q] {
+		contributing := t.AllowsSender(q) && s.Msgs.HasMatching(t.Proc, t.MsgType, []core.ProcessID{q})
+		if !contributing {
 			out = append(out, fs...)
 		}
 	}

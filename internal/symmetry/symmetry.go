@@ -3,6 +3,7 @@ package symmetry
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mpbasset/internal/core"
@@ -145,7 +146,8 @@ func (c *Canonicalizer) encode(s *core.State, perm []core.ProcessID) string {
 		sb.WriteByte(';')
 		sb.WriteString(k)
 		if counts[k] > 1 {
-			fmt.Fprintf(&sb, "*%d", counts[k])
+			sb.WriteByte('*')
+			sb.WriteString(strconv.Itoa(counts[k]))
 		}
 	}
 	return sb.String()
