@@ -3,10 +3,10 @@
 // state-space analysis of §II-C, a liveness table (the bundled protocols'
 // eventuality properties under nested DFS) and a store-tier table
 // (collapse compression against the exact stores, lossy bitstate against
-// an equal-memory exact cap). It doubles as the CI perf harness: -out
+// an equal-memory exact cap). It doubles as the CI determinism gate: -out
 // serializes every table of a run into a machine-readable report, and
-// -baseline gates the run against a committed report, failing on
-// wall-clock regressions past a threshold or on determinism drift.
+// -baseline gates the run against a committed report, failing on verdict
+// or state/event-count drift (wall-clock is reported, not gated).
 //
 //	mpbench -table 1
 //	mpbench -table 2 -budget 2m
@@ -37,9 +37,7 @@ func main() {
 		verify   = flag.Bool("verify", true, "fail if any verdict deviates from the paper's")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of the table layout")
 		outFile  = flag.String("out", "", "write the run's machine-readable report (all tables) to this file, e.g. BENCH_ci.json")
-		baseline = flag.String("baseline", "", "gate the run against this committed report (e.g. BENCH_baseline.json): exit 1 on regressions")
-		regPct   = flag.Float64("regress-pct", 25, "tolerated per-cell wall-clock growth over the baseline, in percent (needs -baseline)")
-		regFloor = flag.Duration("regress-floor", 250*time.Millisecond, "noise floor: baseline cells faster than this are not duration-gated (needs -baseline)")
+		baseline = flag.String("baseline", "", "gate the run against this committed report (e.g. BENCH_baseline.json): exit 1 on verdict or state/event-count drift")
 		workers  = flag.Int("workers", 0, "run the stateful DFS and DPOR cells with this many speculative workers (0 = sequential)")
 		stealD   = flag.Int("steal-depth", 0, "events a parallel DFS/DPOR worker speculates below a stolen sibling or backtrack point (0 = default 8; needs -workers)")
 		memB     = flag.String("mem-budget", "", "visited-set memory budget per cell, e.g. 512M: past it, fingerprints spill to sorted runs on disk (empty = in-memory only)")
@@ -59,34 +57,25 @@ func main() {
 		eval.PrintAnalysis(os.Stdout)
 		return
 	}
-	// mpbench's stateful cells run SPOR (a DFS search); reuse the shared
-	// flag validation so -steal-depth without -workers (or -spill-dir
-	// without -mem-budget) is rejected, not silently ignored.
-	if err := cli.ValidateParallelFlags("spor", *workers, 0, 0, *stealD); err != nil {
-		fail(err)
-	}
 	memBudget, err := cli.ParseBytes(*memB)
 	if err != nil {
-		fail(err)
-	}
-	if err := cli.ValidateSpillFlags("spor", memBudget, *spillDir); err != nil {
 		fail(err)
 	}
 	bitstateBytes, err := cli.ParseBytes(*bitsB)
 	if err != nil {
 		fail(err)
 	}
-	if err := cli.ValidateLossyFlags("spor", *lossy, bitstateBytes, memBudget, ""); err != nil {
-		fail(err)
-	}
-	if *baseline == "" && (*regPct != 25 || *regFloor != 250*time.Millisecond) {
-		fail(fmt.Errorf("-regress-pct/-regress-floor require -baseline (they tune the regression gate)"))
-	}
 	opts := eval.Options{
 		Budget: *budget, MaxStates: *maxSt, Paper: *paper,
 		Workers: *workers, StealDepth: *stealD,
 		StoreBudgetBytes: memBudget, SpillDir: *spillDir,
 		Compress: *compress, Lossy: *lossy, BitstateBytes: bitstateBytes,
+	}
+	// One up-front pass through the facade's rule table, so -steal-depth
+	// without -workers, -spill-dir without -mem-budget or -lossy with the
+	// liveness table is rejected before any cell runs.
+	if err := opts.Validate(*table == 0 || *table == 3); err != nil {
+		fail(err)
 	}
 	var report eval.Report
 	emit := func(title string, rows []eval.Row) {
@@ -163,17 +152,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// An explicit `-regress-floor 0` means "gate every cell": map it to
-		// the library's negative disable sentinel (0 would re-select the
-		// default floor).
-		floorMS := float64(*regFloor) / float64(time.Millisecond)
-		if *regFloor == 0 {
-			floorMS = -1
-		}
-		regs := eval.CompareReports(base, report, eval.CompareOptions{
-			MaxSlowdownPct: *regPct,
-			MinDurationMS:  floorMS,
-		})
+		regs := eval.CompareReports(base, report)
 		if len(regs) > 0 {
 			for _, r := range regs {
 				fmt.Fprintln(os.Stderr, "mpbench: regression:", r)

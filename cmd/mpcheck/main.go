@@ -15,28 +15,37 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"mpbasset"
 	"mpbasset/internal/cli"
 	"mpbasset/internal/core"
-	"mpbasset/internal/dpor"
 	"mpbasset/internal/explore"
-	"mpbasset/internal/liveness"
-	"mpbasset/internal/por"
-	"mpbasset/internal/refine"
-	"mpbasset/internal/symmetry"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mpcheck:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) error {
+// run is mpcheck without the process: it returns the exit status and
+// writes the report to stdout and errors to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	code, err := check(args, stdout, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "mpcheck:", err)
+		return 1
+	}
+	return code
+}
+
+// check maps the flags onto mpbasset.Options, lets the facade validate,
+// build and run the search, and prints the outcome. Which flags combine is
+// the facade's rule table's business, not this function's.
+func check(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("mpcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		protocol = fs.String("protocol", "paxos", "protocol: paxos | faulty-paxos | multicast | storage")
 		setting  = fs.String("setting", "", "process counts, e.g. 2,3,1 (paxos P,A,L), 3,0,1,1 (multicast HR,HI,BR,BI), 3,1 (storage B,R)")
@@ -63,258 +72,144 @@ func run(args []string) error {
 		traceDot = fs.String("trace-dot", "", "write the counterexample trace as Graphviz DOT to this file")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return 0, err
 	}
-	if err := cli.ValidateParallelFlags(*search, *workers, *chunk, *batch, *stealD); err != nil {
-		return err
-	}
-	memBudget, err := cli.ParseBytes(*memB)
-	if err != nil {
-		return err
-	}
-	if err := cli.ValidateSpillFlags(*search, memBudget, *spillDir); err != nil {
-		return err
-	}
-	if err := cli.ValidateLivenessFlags(*search, *property, *fair); err != nil {
-		return err
-	}
-	bitstateBytes, err := cli.ParseBytes(*bitsB)
-	if err != nil {
-		return err
-	}
-	if err := cli.ValidateLossyFlags(*search, *lossy, bitstateBytes, memBudget, *property); err != nil {
-		return err
-	}
-	if err := cli.ValidateCompressFlags(*search, *compress, *sym); err != nil {
-		return err
-	}
-
-	p, roles, err := cli.BuildProtocol(*protocol, *setting, *model, *wrong)
-	if err != nil {
-		return err
-	}
-	strat, err := cli.ParseSplit(*split)
-	if err != nil {
-		return err
-	}
-	if strat != refine.None {
-		if p, err = refine.Split(p, strat); err != nil {
-			return err
-		}
-	}
-	var prop *liveness.Property
-	if *property != "" {
-		if prop, err = cli.BuildProperty(*protocol, *setting, *model, *property, *fair); err != nil {
-			return err
-		}
-		// Instrument before the expander is built, so the property-visible
-		// marks constrain the reduction (ample-set condition C2).
-		if p, err = liveness.Instrument(p, prop); err != nil {
-			return err
-		}
-	}
-
-	opts := explore.Options{
-		MaxDuration: *budget,
-		MaxStates:   *maxSt,
-		Store:       explore.NewHashStore(),
+	opts := mpbasset.Options{
 		TrackTrace:  *trace || *traceDot != "",
 		Workers:     *workers,
 		ChunkSize:   *chunk,
 		BatchSize:   *batch,
 		StealDepth:  *stealD,
+		SpillDir:    *spillDir,
+		Compress:    *compress,
+		Lossy:       *lossy,
+		MaxStates:   *maxSt,
+		MaxDuration: *budget,
 	}
-	var coll *explore.Collapser
-	if *compress {
-		coll = explore.NewCollapser()
-		opts.Canon = coll.Canon
+	var err error
+	if opts.Search, err = cli.ParseSearch(*search); err != nil {
+		return 0, err
 	}
-	var spill *explore.SpillStore
-	switch {
-	case *lossy:
-		// Concurrency-safe, so it serves the sequential and parallel
-		// engines alike. ValidateLossyFlags already rejected -mem-budget.
-		opts.Store = explore.NewBitstateStore(bitstateBytes, 0)
-	case memBudget > 0:
-		// The spill store is concurrency-safe, so it serves the
-		// sequential and parallel engines alike.
-		spill, err = explore.NewSpillStore(explore.SpillConfig{BudgetBytes: memBudget, Dir: *spillDir})
-		if err != nil {
-			return err
-		}
-		// The deferred close covers the error returns below; the explicit
-		// close before the exit paths at the bottom covers os.Exit(2).
-		// Close is idempotent, so both may run.
-		//lint:closeerr-ok idempotent backstop: the explicit Close on the main path below routes the error into err
-		defer spill.Close()
-		opts.Store = spill
-	case *workers > 0:
-		opts.Store = explore.NewShardedHashStore()
+	if opts.Split, err = cli.ParseSplit(*split); err != nil {
+		return 0, err
+	}
+	if opts.StoreBudgetBytes, err = cli.ParseBytes(*memB); err != nil {
+		return 0, err
+	}
+	if opts.BitstateBytes, err = cli.ParseBytes(*bitsB); err != nil {
+		return 0, err
+	}
+	if opts.Property, err = cli.BuildProperty(*protocol, *setting, *model, *property, *fair); err != nil {
+		return 0, err
+	}
+	p, roles, err := cli.BuildProtocol(*protocol, *setting, *model, *wrong)
+	if err != nil {
+		return 0, err
 	}
 	if *sym {
-		canon, err := symmetry.New(p.N, roles)
-		if err != nil {
-			return err
-		}
-		opts.Canon = canon.Canon
-		fmt.Printf("symmetry group: %d permutations\n", canon.NumPermutations())
+		opts.SymmetryRoles = roles
 	}
+	plan, err := mpbasset.Prepare(p, opts)
+	if err != nil {
+		return 0, err
+	}
+	// The searched protocol: refined and instrumented, the one traces and
+	// the -dot graph are over.
+	p = plan.Protocol()
 
-	// Each search pairs with the parallel engine that reproduces it
-	// bit-identically: the DFS searches with the speculative ParallelDFS,
-	// bfs with the frontier-parallel ParallelBFS, dpor with the
-	// speculative ExploreParallel.
-	// ValidateParallelFlags already rejected -workers on other searches.
-	var engine func(*core.Protocol, explore.Options) (*explore.Result, error)
-	parallelEngine := "speculative parallel DFS"
-	opts.Property = prop
-	dfsEngine := func() {
-		engine = explore.DFS
-		if prop != nil {
-			engine = explore.NDFS
-			parallelEngine = "speculative parallel NDFS"
-		}
-		if *workers > 0 {
-			engine = explore.ParallelDFS
-			if prop != nil {
-				engine = explore.ParallelNDFS
-			}
-		}
+	if *sym {
+		fmt.Fprintf(stdout, "symmetry group: %d permutations\n", plan.Permutations())
 	}
-	switch *search {
-	case "spor":
-		exp, err := por.NewExpander(p)
-		if err != nil {
-			return err
-		}
-		opts.Expander = exp
-		dfsEngine()
-	case "unreduced", "dfs":
-		dfsEngine()
-	case "bfs":
-		engine = explore.BFS
-		if *workers > 0 {
-			engine = explore.ParallelBFS
-			parallelEngine = "frontier-parallel BFS"
-		}
-	case "stateless":
-		engine = explore.StatelessDFS
-	case "dpor":
-		engine = dpor.Explore
-		if *workers > 0 {
-			engine = dpor.ExploreParallel
-			parallelEngine = "speculative parallel DPOR"
-		}
-	default:
-		return fmt.Errorf("unknown search %q", *search)
-	}
-
-	fmt.Printf("checking %s [%s, %s]\n", p.Name, *search, strat)
-	if prop != nil {
+	fmt.Fprintf(stdout, "checking %s [%s, %s]\n", p.Name, *search, opts.Split)
+	if prop := opts.Property; prop != nil {
 		kind := "liveness property"
 		if prop.WeakFair {
 			kind = "liveness property under weak fairness"
 		}
-		fmt.Printf("property:  %q (%s)\n", prop.Name, kind)
+		fmt.Fprintf(stdout, "property:  %q (%s)\n", prop.Name, kind)
 	}
 	if *workers > 0 {
-		fmt.Printf("workers:   %d (%s)\n", *workers, parallelEngine)
+		fmt.Fprintf(stdout, "workers:   %d (%s)\n", *workers, plan.Engine())
 	}
-	if memBudget > 0 {
-		fmt.Printf("mem-budget: %d bytes (visited set spills to disk past it)\n", memBudget)
+	if opts.StoreBudgetBytes > 0 {
+		fmt.Fprintf(stdout, "mem-budget: %d bytes (visited set spills to disk past it)\n", opts.StoreBudgetBytes)
 	}
 	if *compress {
-		fmt.Println("compress:  collapse compression on (stored keys are interned component IDs)")
+		fmt.Fprintln(stdout, "compress:  collapse compression on (stored keys are interned component IDs)")
 	}
 	if *lossy {
-		fmt.Println("lossy:     bitstate store — 'Verified' is a coverage claim, not a verdict")
+		fmt.Fprintln(stdout, "lossy:     bitstate store — 'Verified' is a coverage claim, not a verdict")
 	}
 	if *dotOut != "" {
-		if err := writeGraphDOT(p, *dotOut); err != nil {
-			return err
+		if err := writeGraphDOT(stdout, p, *dotOut); err != nil {
+			return 0, err
 		}
 	}
-	res, err := engine(p, opts)
-	// Close before the exit paths below: the spill store owns run files
-	// and possibly a temporary directory, and run() exits the process on
-	// a violation.
-	if spill != nil {
-		if cerr := spill.Close(); err == nil {
-			err = cerr
-		}
-	}
+	res, err := plan.Run()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	// Compressed trace keys are run-internal intern-table IDs; decompress
-	// them so the trace renderer, -trace-dot and any downstream replay see
-	// full canonical state keys.
-	if coll != nil {
-		if err := coll.ExpandTrace(res.Trace); err != nil {
-			return err
-		}
-	}
-	report(res)
+	report(stdout, res)
 	if *trace && len(res.Trace) > 0 {
 		if res.CycleLen > 0 {
-			fmt.Printf("counterexample (lasso; the final %d steps form the accepting cycle):\n", res.CycleLen)
+			fmt.Fprintf(stdout, "counterexample (lasso; the final %d steps form the accepting cycle):\n", res.CycleLen)
 		} else if res.Stutter {
-			fmt.Println("counterexample (lasso; the final state deadlocks while accepting):")
+			fmt.Fprintln(stdout, "counterexample (lasso; the final state deadlocks while accepting):")
 		} else {
-			fmt.Println("counterexample:")
+			fmt.Fprintln(stdout, "counterexample:")
 		}
-		if err := explore.RenderTrace(os.Stdout, p, res.Trace); err != nil {
-			return err
+		if err := explore.RenderTrace(stdout, p, res.Trace); err != nil {
+			return 0, err
 		}
 	}
 	if *traceDot != "" && len(res.Trace) > 0 {
-		if err := writeTraceDOT(p, res.Trace, *traceDot); err != nil {
-			return err
+		if err := writeTraceDOT(stdout, p, res.Trace, *traceDot); err != nil {
+			return 0, err
 		}
 	}
 	if res.Verdict == explore.VerdictViolated {
-		os.Exit(2)
+		return 2, nil
 	}
-	return nil
+	return 0, nil
 }
 
-func report(res *explore.Result) {
+func report(w io.Writer, res *explore.Result) {
 	st := res.Stats
-	fmt.Printf("verdict:   %s\n", res.Verdict)
+	fmt.Fprintf(w, "verdict:   %s\n", res.Verdict)
 	if res.Violation != nil {
-		fmt.Printf("violation: %v\n", res.Violation)
+		fmt.Fprintf(w, "violation: %v\n", res.Violation)
 	}
 	if res.Stutter {
-		fmt.Printf("lasso:     %d-step stem to a deadlocked accepting state (stutter cycle)\n", len(res.Trace))
+		fmt.Fprintf(w, "lasso:     %d-step stem to a deadlocked accepting state (stutter cycle)\n", len(res.Trace))
 	} else if res.CycleLen > 0 {
-		fmt.Printf("lasso:     %d-step stem + %d-step accepting cycle\n", len(res.Trace)-res.CycleLen, res.CycleLen)
+		fmt.Fprintf(w, "lasso:     %d-step stem + %d-step accepting cycle\n", len(res.Trace)-res.CycleLen, res.CycleLen)
 	}
-	fmt.Printf("states:    %d (%d revisits)\n", st.States, st.Revisits)
-	fmt.Printf("events:    %d\n", st.Events)
+	fmt.Fprintf(w, "states:    %d (%d revisits)\n", st.States, st.Revisits)
+	fmt.Fprintf(w, "events:    %d\n", st.Events)
 	if st.RedStates > 0 {
-		fmt.Printf("red:       %d product states visited by the nested searches\n", st.RedStates)
+		fmt.Fprintf(w, "red:       %d product states visited by the nested searches\n", st.RedStates)
 	}
-	fmt.Printf("deadlocks: %d\n", st.Deadlocks)
-	fmt.Printf("depth:     %d\n", st.MaxDepth)
-	fmt.Printf("time:      %s\n", st.Duration.Round(time.Millisecond))
+	fmt.Fprintf(w, "deadlocks: %d\n", st.Deadlocks)
+	fmt.Fprintf(w, "depth:     %d\n", st.MaxDepth)
+	fmt.Fprintf(w, "time:      %s\n", st.Duration.Round(time.Millisecond))
 	if st.ReducedExpansions+st.FullExpansions > 0 {
-		fmt.Printf("expansions: %d reduced / %d full", st.ReducedExpansions, st.FullExpansions)
+		fmt.Fprintf(w, "expansions: %d reduced / %d full", st.ReducedExpansions, st.FullExpansions)
 		if st.ProvisoExpansions > 0 {
-			fmt.Printf(" (%d promoted by the ignoring proviso)", st.ProvisoExpansions)
+			fmt.Fprintf(w, " (%d promoted by the ignoring proviso)", st.ProvisoExpansions)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if st.SpillRuns > 0 || st.DiskProbes > 0 {
-		fmt.Printf("spill:     %d runs, %d bytes written, %d disk probes\n",
+		fmt.Fprintf(w, "spill:     %d runs, %d bytes written, %d disk probes\n",
 			st.SpillRuns, st.SpillBytes, st.DiskProbes)
 	}
 	if st.BitstateFill > 0 {
-		fmt.Printf("bitstate:  %.4f fill, ~%.2e omission probability (state count is a coverage claim, not a census)\n",
+		fmt.Fprintf(w, "bitstate:  %.4f fill, ~%.2e omission probability (state count is a coverage claim, not a census)\n",
 			st.BitstateFill, st.BitstateOmission)
 	}
 }
 
-func writeGraphDOT(p *core.Protocol, path string) error {
+func writeGraphDOT(w io.Writer, p *core.Protocol, path string) error {
 	g, err := explore.BuildGraph(p, 200000)
 	if err != nil {
 		return fmt.Errorf("state graph for -dot: %w", err)
@@ -330,11 +225,11 @@ func writeGraphDOT(p *core.Protocol, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("state graph (%d states, %d edges) written to %s\n", len(g.Nodes), g.NumEdges(), path)
+	fmt.Fprintf(w, "state graph (%d states, %d edges) written to %s\n", len(g.Nodes), g.NumEdges(), path)
 	return nil
 }
 
-func writeTraceDOT(p *core.Protocol, trace []explore.Step, path string) error {
+func writeTraceDOT(w io.Writer, p *core.Protocol, trace []explore.Step, path string) error {
 	init, err := p.InitialState()
 	if err != nil {
 		return err
@@ -350,6 +245,6 @@ func writeTraceDOT(p *core.Protocol, trace []explore.Step, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("trace written to %s\n", path)
+	fmt.Fprintf(w, "trace written to %s\n", path)
 	return nil
 }

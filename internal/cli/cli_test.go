@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpbasset"
 	"mpbasset/internal/refine"
 )
 
@@ -80,57 +81,6 @@ func TestBuildProtocolErrors(t *testing.T) {
 	}
 }
 
-func TestValidateParallelFlags(t *testing.T) {
-	cases := []struct {
-		name       string
-		search     string
-		workers    int
-		chunk      int
-		batch      int
-		stealDepth int
-		wantErr    string // substring; empty means accepted
-	}{
-		// -workers selects the engine matching the search family.
-		{"sequential defaults", "spor", 0, 0, 0, 0, ""},
-		{"workers with spor", "spor", 8, 0, 0, 0, ""},
-		{"workers with unreduced", "unreduced", 2, 0, 0, 0, ""},
-		{"workers with dfs alias", "dfs", 4, 0, 0, 0, ""},
-		{"workers with bfs", "bfs", 4, 0, 0, 0, ""},
-		{"workers with dpor", "dpor", 1, 0, 0, 0, ""},
-		{"many workers with dpor", "dpor", 8, 0, 0, 0, ""},
-		{"workers with stateless", "stateless", 4, 0, 0, 0, "-workers requires a search with a parallel engine"},
-		// -chunk/-batch keep their original rule (they need -workers) and
-		// tune the BFS frontier scheduler only.
-		{"workers with bfs knobs", "bfs", 4, 16, 128, 0, ""},
-		{"chunk without workers", "spor", 0, 16, 0, 0, "-chunk requires -workers"},
-		{"batch without workers", "spor", 0, 0, 64, 0, "-batch requires -workers"},
-		{"both knobs without workers", "bfs", 0, 8, 8, 0, "-chunk requires -workers"},
-		{"chunk with parallel dfs", "spor", 4, 16, 0, 0, "-chunk tunes the parallel BFS frontier scheduler"},
-		{"batch with parallel dfs", "dfs", 4, 0, 64, 0, "-batch tunes the parallel BFS insert batching"},
-		{"chunk with parallel dpor", "dpor", 4, 16, 0, 0, "runs parallel DPOR (tune -steal-depth instead)"},
-		{"batch with parallel dpor", "dpor", 4, 0, 64, 0, "runs parallel DPOR (tune -steal-depth instead)"},
-		// -steal-depth mirrors them for the DFS and dpor searches.
-		{"steal-depth with spor", "spor", 4, 0, 0, 8, ""},
-		{"steal-depth with dfs alias", "dfs", 8, 0, 0, 3, ""},
-		{"steal-depth with unreduced", "unreduced", 2, 0, 0, 64, ""},
-		{"steal-depth with dpor", "dpor", 4, 0, 0, 8, ""},
-		{"steal-depth without workers", "spor", 0, 0, 0, 8, "-steal-depth requires -workers"},
-		{"steal-depth with parallel bfs", "bfs", 4, 0, 0, 8, "-steal-depth tunes parallel DFS/DPOR subtree speculation"},
-	}
-	for _, tc := range cases {
-		err := ValidateParallelFlags(tc.search, tc.workers, tc.chunk, tc.batch, tc.stealDepth)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error: %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
-		}
-	}
-}
-
 func TestParseBytes(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -198,38 +148,6 @@ func TestParseBytes(t *testing.T) {
 	}
 }
 
-func TestValidateSpillFlags(t *testing.T) {
-	cases := []struct {
-		name    string
-		search  string
-		budget  int64
-		dir     string
-		wantErr string // substring; empty means accepted
-	}{
-		{"no spill flags", "spor", 0, "", ""},
-		{"budget with spor", "spor", 1 << 20, "", ""},
-		{"budget with unreduced", "unreduced", 1 << 20, "", ""},
-		{"budget with dfs alias", "dfs", 1 << 20, "", ""},
-		{"budget with bfs", "bfs", 1 << 20, "", ""},
-		{"budget and dir", "bfs", 1 << 20, "/tmp/spill", ""},
-		{"budget with stateless", "stateless", 1 << 20, "", "-mem-budget requires a stateful search"},
-		{"budget with dpor", "dpor", 1 << 20, "", "-mem-budget requires a stateful search"},
-		{"dir without budget", "spor", 0, "/tmp/spill", "-spill-dir requires -mem-budget"},
-	}
-	for _, tc := range cases {
-		err := ValidateSpillFlags(tc.search, tc.budget, tc.dir)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error: %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
-		}
-	}
-}
-
 func TestParseSplit(t *testing.T) {
 	want := map[string]refine.Strategy{
 		"":         refine.None,
@@ -249,40 +167,33 @@ func TestParseSplit(t *testing.T) {
 	}
 }
 
-func TestValidateLivenessFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		search   string
-		property string
-		fair     bool
-		wantErr  string // substring; empty means accepted
-	}{
-		{"no liveness flags", "spor", "", false, ""},
-		{"property with spor", "spor", "decided", false, ""},
-		{"property with unreduced", "unreduced", "decided", false, ""},
-		{"property with dfs alias", "dfs", "decided", false, ""},
-		{"property and fair", "spor", "decided", true, ""},
-		{"property with bfs", "bfs", "decided", false, "-property requires a nested-DFS search"},
-		{"property with stateless", "stateless", "decided", false, "-property requires a nested-DFS search"},
-		{"property with dpor", "dpor", "decided", false, "-property requires a nested-DFS search"},
-		{"fair without property", "spor", "", true, "-fair requires -property"},
-		{"fair with bfs property", "bfs", "decided", true, "-property requires a nested-DFS search"},
+func TestParseSearch(t *testing.T) {
+	want := map[string]mpbasset.Search{
+		"spor":      mpbasset.SearchSPOR,
+		"unreduced": mpbasset.SearchUnreduced,
+		"dfs":       mpbasset.SearchUnreduced,
+		"bfs":       mpbasset.SearchBFS,
+		"stateless": mpbasset.SearchStateless,
+		"dpor":      mpbasset.SearchDPOR,
 	}
-	for _, tc := range cases {
-		err := ValidateLivenessFlags(tc.search, tc.property, tc.fair)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error: %v", tc.name, err)
-			}
-			continue
+	for in, w := range want {
+		got, err := ParseSearch(in)
+		if err != nil || got != w {
+			t.Errorf("ParseSearch(%q) = %v, %v; want %v", in, got, err, w)
 		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
+	}
+	for _, in := range []string{"", "bogus"} {
+		if _, err := ParseSearch(in); err == nil {
+			t.Errorf("search %q accepted", in)
 		}
 	}
 }
 
 func TestBuildProperty(t *testing.T) {
+	// No property name means safety checking: a nil property, no error.
+	if prop, err := BuildProperty("paxos", "", "", "", false); prop != nil || err != nil {
+		t.Errorf("empty property = %v, %v; want nil, nil", prop, err)
+	}
 	cases := []struct {
 		name     string
 		protocol string
@@ -304,6 +215,7 @@ func TestBuildProperty(t *testing.T) {
 		{"storage wrong name", "storage", "", "", "decided", false, "", `unknown property "decided"`},
 		{"unknown protocol", "raft", "", "", "decided", false, "", "unknown protocol"},
 		{"bad setting", "paxos", "2,3", "", "decided", false, "", "want 3 comma-separated numbers"},
+		{"fair without property", "paxos", "", "", "", true, "", "-fair requires -property"},
 	}
 	for _, tc := range cases {
 		prop, err := BuildProperty(tc.protocol, tc.setting, tc.model, tc.property, tc.fair)

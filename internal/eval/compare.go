@@ -1,9 +1,10 @@
 // The cross-run perf trajectory: mpbench serializes every table of one
 // invocation into a Report (BENCH_ci.json in CI, BENCH_baseline.json
 // committed to the repo) and CompareReports gates a current report against
-// a baseline — wall-clock regressions past a threshold fail, and so do
-// determinism breaches (verdict or state-count drift on cells the engines
-// guarantee to be bit-identical run-to-run).
+// a baseline on determinism: verdict or state-count drift on cells the
+// engines guarantee to be bit-identical run-to-run fails. Wall-clock is
+// recorded in the reports but not gated — single-sample cell timings spread
+// 13–48 % on identical code; bench/ is the ruler for speed.
 
 package eval
 
@@ -136,46 +137,15 @@ type Regression struct {
 	Table  string
 	Row    string
 	Column string
-	// Kind classifies the violation: "duration" (wall-clock past the
-	// threshold), "determinism" (verdict or state/event drift), "error"
-	// (the current cell failed), or "missing" (a baseline cell the current
-	// report no longer has).
+	// Kind classifies the violation: "determinism" (verdict or state/event
+	// drift), "error" (the current cell failed), or "missing" (a baseline
+	// cell the current report no longer has).
 	Kind   string
 	Detail string
 }
 
 func (r Regression) String() string {
 	return fmt.Sprintf("%s / %s [%s]: %s: %s", r.Table, r.Row, r.Column, r.Kind, r.Detail)
-}
-
-// CompareOptions tunes the regression gate.
-type CompareOptions struct {
-	// MaxSlowdownPct is the tolerated per-cell wall-clock growth over the
-	// baseline, in percent; cells slower than baseline*(1+pct/100) fail.
-	// <= 0 means the default of 25.
-	MaxSlowdownPct float64
-	// MinDurationMS is the noise floor: cells whose baseline ran faster
-	// than this are skipped by the duration gate (their timing is
-	// scheduler noise, not signal). < 0 disables the floor; 0 means the
-	// default of 250ms.
-	MinDurationMS float64
-}
-
-func (o CompareOptions) pct() float64 {
-	if o.MaxSlowdownPct > 0 {
-		return o.MaxSlowdownPct
-	}
-	return 25
-}
-
-func (o CompareOptions) floor() float64 {
-	if o.MinDurationMS < 0 {
-		return 0
-	}
-	if o.MinDurationMS == 0 {
-		return 250
-	}
-	return o.MinDurationMS
 }
 
 // CompareReports gates current against baseline cell by cell (tables
@@ -187,14 +157,11 @@ func (o CompareOptions) floor() float64 {
 //   - a verdict change is "determinism", and so is state- or event-count
 //     drift on cells neither side cut short (a Limit verdict can come from
 //     a wall-clock budget, whose cut point is timing-dependent, so limited
-//     cells are only held to verdict agreement);
-//   - a cell whose baseline wall-clock is at or above the noise floor and
-//     whose current wall-clock exceeds it by more than the threshold is
-//     "duration".
+//     cells are only held to verdict agreement).
 //
 // Cells present only in the current report are new coverage, not
 // regressions.
-func CompareReports(baseline, current Report, opts CompareOptions) []Regression {
+func CompareReports(baseline, current Report) []Regression {
 	curTables := make(map[string]TableJSON, len(current.Tables))
 	for _, t := range current.Tables {
 		curTables[t.Title] = t
@@ -227,14 +194,14 @@ func CompareReports(baseline, current Report, opts CompareOptions) []Regression 
 					regs = append(regs, Regression{Table: bt.Title, Row: rowName, Column: bc.Column, Kind: "missing", Detail: "cell absent from the current report"})
 					continue
 				}
-				regs = append(regs, compareCell(bt.Title, rowName, bc, cc, opts)...)
+				regs = append(regs, compareCell(bt.Title, rowName, bc, cc)...)
 			}
 		}
 	}
 	return regs
 }
 
-func compareCell(table, row string, base, cur CellJSON, opts CompareOptions) []Regression {
+func compareCell(table, row string, base, cur CellJSON) []Regression {
 	if base.Error != "" {
 		return nil // a broken baseline cell gates nothing
 	}
@@ -253,12 +220,6 @@ func compareCell(table, row string, base, cur CellJSON, opts CompareOptions) []R
 		regs = append(regs, Regression{
 			Table: table, Row: row, Column: cur.Column, Kind: "determinism",
 			Detail: fmt.Sprintf("states=%d events=%d, baseline states=%d events=%d", cur.States, cur.Events, base.States, base.Events),
-		})
-	}
-	if base.DurationMS >= opts.floor() && cur.DurationMS > base.DurationMS*(1+opts.pct()/100) {
-		regs = append(regs, Regression{
-			Table: table, Row: row, Column: cur.Column, Kind: "duration",
-			Detail: fmt.Sprintf("%.0fms, baseline %.0fms (>%.0f%% slower)", cur.DurationMS, base.DurationMS, opts.pct()),
 		})
 	}
 	return regs

@@ -2,8 +2,9 @@
 // the quorum-semantics comparison of Table I, the transition-refinement
 // comparison of Table II, the interleaving-cost analysis of §II-C, and
 // the repo's own store-tier table (collapse compression and lossy
-// bitstate sweeps). cmd/mpbench prints the tables; the root bench_test.go
-// exposes each row as a Go benchmark.
+// bitstate sweeps). cmd/mpbench prints the tables and gates their
+// verdicts and counts against a committed baseline (compare.go); the root
+// bench_test.go exposes each row as a Go benchmark.
 //
 // The package is part of the determinism contract (it appears in the lint
 // suite's deterministic allowlist) and is also the contract's arbiter: it
@@ -19,6 +20,9 @@
 // names one engine (DFS, BFS, their parallel twins, DPOR, NDFS) crossed
 // with one reduction (none, SPOR, refinement, symmetry) and one store
 // tier (exact, fingerprint, sharded, spill, bitstate) or compression
-// mode. Cells over lossy or compressed tiers set Options accordingly and
-// inherit the facade's soundness gating.
+// mode. A cell never builds any of those itself: it maps eval.Options onto
+// mpbasset.Options and calls mpbasset.Check, so the facade's rule table
+// (mpbasset.Options.Validate) is the one place a combination is accepted
+// or refused — a refused cell carries the rejection as its Err, and
+// Options.Validate lets mpbench ask before running anything.
 package eval

@@ -6,10 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"mpbasset"
 	"mpbasset/internal/core"
-	"mpbasset/internal/dpor"
 	"mpbasset/internal/explore"
-	"mpbasset/internal/por"
 	"mpbasset/internal/refine"
 )
 
@@ -35,11 +34,11 @@ type Options struct {
 	// StealDepth bounds one stolen subtree's speculation in the parallel
 	// DFS and DPOR cells (events below a stolen sibling or backtrack
 	// point before the worker steals afresh); 0 selects the engine
-	// default. It never changes cell results, only throughput, and is
-	// ignored without Workers.
+	// default. It never changes cell results, only throughput, and the
+	// facade rejects it without Workers.
 	StealDepth int
-	// StoreBudgetBytes > 0 runs the stateful cells over a two-tier
-	// explore.SpillStore: the visited set's in-memory hot tier is bounded
+	// StoreBudgetBytes > 0 runs the stateful cells over the facade's
+	// two-tier spill store: the visited set's in-memory hot tier is bounded
 	// by the budget and spills sorted fingerprint runs to disk. Cell
 	// results (verdicts, state and event counts) are bit-identical to the
 	// in-memory stores; only the cell's wall-clock changes. DPOR cells
@@ -50,20 +49,22 @@ type Options struct {
 	// Only meaningful with StoreBudgetBytes > 0.
 	SpillDir string
 	// Compress runs the stateful cells with collapse compression: a fresh
-	// explore.Collapser per cell interns state components so stored keys
-	// shrink to component IDs. Cell results (verdicts, state and event
+	// intern table per cell dedupes state components so stored keys shrink
+	// to component IDs. Cell results (verdicts, state and event
 	// counts) are bit-identical to uncompressed cells — the mapping is
 	// injective — so only wall-clock changes. DPOR cells keep no visited
 	// set and ignore it.
 	Compress bool
-	// Lossy runs the stateful cells over an explicitly lossy
-	// explore.BitstateStore sized by BitstateBytes instead of an exact
-	// store. Lossy cells are coverage claims: their state counts are a
-	// floor, and their "Verified" verdicts only mean no violation was found
-	// among the states visited. DPOR cells ignore it.
+	// Lossy runs the stateful cells over the explicitly lossy bitstate
+	// store sized by BitstateBytes instead of an exact store. Lossy cells
+	// are coverage claims: their state counts are a floor, and their
+	// "Verified" verdicts only mean no violation was found among the states
+	// visited. DPOR cells ignore it; the liveness cells cannot run on it
+	// (cycle detection needs an exact visited set) and the facade rejects
+	// them.
 	Lossy bool
-	// BitstateBytes sizes the lossy cells' bit array; 0 means the
-	// explore.BitstateStore 64 MiB default. Only meaningful with Lossy.
+	// BitstateBytes sizes the lossy cells' bit array; 0 means the 64 MiB
+	// default. Only accepted with Lossy.
 	BitstateBytes int64
 }
 
@@ -83,6 +84,8 @@ type Cell struct {
 	Duration time.Duration
 	Note     string
 	Err      error
+	// stats is the search's full statistics, for notes derived from them.
+	stats explore.Stats
 }
 
 // Row is one protocol/property line of a table.
@@ -93,21 +96,42 @@ type Row struct {
 	Cells    []Cell
 }
 
-// run executes one search and converts the result into a cell. A spill
-// store configured by stateful() owns disk state and is released here
-// once the cell's search returns.
-func run(column string, p *core.Protocol, opts Options, search func(*core.Protocol, explore.Options) (*explore.Result, error), xo explore.Options) Cell {
-	xo.MaxDuration = opts.budget()
-	xo.MaxStates = opts.MaxStates
-	if xo.Store == nil {
-		xo.Store = explore.NewHashStore()
+// facade maps the table options onto mpbasset.Options for one stateful
+// cell. Which of them combine is the facade's rule table's call: a cell
+// whose options it rejects carries the rejection as its Err.
+func (o Options) facade(search mpbasset.Search) mpbasset.Options {
+	return mpbasset.Options{
+		Search:           search,
+		MaxStates:        o.MaxStates,
+		MaxDuration:      o.budget(),
+		Workers:          o.Workers,
+		StealDepth:       o.StealDepth,
+		StoreBudgetBytes: o.StoreBudgetBytes,
+		SpillDir:         o.SpillDir,
+		Compress:         o.Compress,
+		Lossy:            o.Lossy,
+		BitstateBytes:    o.BitstateBytes,
 	}
-	res, err := search(p, xo)
-	if c, ok := xo.Store.(io.Closer); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
+}
+
+// Validate reports the facade's rejection of o, if any, before a table
+// spends time on it: every stateful cell is a DFS search (SPOR or
+// unreduced), and liveness adds the property the liveness table's cells
+// carry. The DPOR cells drop the store options, so options the DFS cells
+// accept never fail there.
+func (o Options) Validate(liveness bool) error {
+	mo := o.facade(mpbasset.SearchSPOR)
+	if liveness {
+		mo.Property = new(mpbasset.Property)
 	}
+	return mo.Validate()
+}
+
+// run checks p under mo through the facade — the only place a store,
+// canon, expander or engine is picked — and converts the result into a
+// cell.
+func run(column string, p *core.Protocol, mo mpbasset.Options) Cell {
+	res, err := mpbasset.Check(p, mo)
 	if err != nil {
 		return Cell{Column: column, Err: err}
 	}
@@ -117,6 +141,7 @@ func run(column string, p *core.Protocol, opts Options, search func(*core.Protoc
 		States:   res.Stats.States,
 		Events:   res.Stats.Events,
 		Duration: res.Stats.Duration,
+		stats:    res.Stats,
 	}
 	if res.Verdict == explore.VerdictLimit {
 		c.Note = "timeout"
@@ -124,81 +149,34 @@ func run(column string, p *core.Protocol, opts Options, search func(*core.Protoc
 	return c
 }
 
-// stateful selects the sequential DFS engine or, when opts.Workers is set,
-// the speculative parallel DFS engine (bit-identical results) with a
-// sharded concurrent store. With StoreBudgetBytes it backs either engine
-// with a fresh spill store (the SpillStore is concurrency-safe, so the
-// same store serves both); run() closes it when the cell finishes.
-func (o Options) stateful(xo explore.Options) (func(*core.Protocol, explore.Options) (*explore.Result, error), explore.Options, error) {
-	engine := explore.DFS
-	if o.Workers > 0 {
-		xo.Workers = o.Workers
-		xo.StealDepth = o.StealDepth
-		engine = explore.ParallelDFS
-	}
-	if o.Compress {
-		// One collapser per cell: intern-table IDs are run-internal names,
-		// and cells must not share visited-set state.
-		xo.Canon = explore.NewCollapser().Canon
-	}
-	switch {
-	case o.Lossy:
-		xo.Store = explore.NewBitstateStore(o.BitstateBytes, 0)
-	case o.StoreBudgetBytes > 0:
-		sp, err := explore.NewSpillStore(explore.SpillConfig{BudgetBytes: o.StoreBudgetBytes, Dir: o.SpillDir})
-		if err != nil {
-			return nil, xo, err
-		}
-		xo.Store = sp
-	case o.Workers > 0:
-		xo.Store = explore.NewShardedHashStore()
-	}
-	return engine, xo, nil
-}
-
 // RunSPOR is the standard stateful DFS + static POR cell used across both
 // tables (speculative parallel DFS when Options.Workers is set).
 func RunSPOR(column string, p *core.Protocol, opts Options) Cell {
-	exp, err := por.NewExpander(p)
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	search, xo, err := opts.stateful(explore.Options{Expander: exp})
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	return run(column, p, opts, search, xo)
+	return run(column, p, opts.facade(mpbasset.SearchSPOR))
 }
 
 // RunDPOR is the stateless dynamic-POR cell (single-message models only);
 // speculative parallel DPOR when Options.Workers is set, with results
-// bit-identical to the sequential engine.
+// bit-identical to the sequential engine. DPOR keeps no visited set, so
+// the cell drops the store options instead of passing them to the facade,
+// which would reject them.
 func RunDPOR(column string, p *core.Protocol, opts Options) Cell {
-	engine, xo := dpor.Explore, explore.Options{}
-	if opts.Workers > 0 {
-		xo.Workers = opts.Workers
-		xo.StealDepth = opts.StealDepth
-		engine = dpor.ExploreParallel
-	}
-	return run(column, p, opts, engine, xo)
+	mo := opts.facade(mpbasset.SearchDPOR)
+	mo.StoreBudgetBytes, mo.SpillDir = 0, ""
+	mo.Compress, mo.Lossy, mo.BitstateBytes = false, false, 0
+	return run(column, p, mo)
 }
 
 // RunUnreduced is the plain stateful cell.
 func RunUnreduced(column string, p *core.Protocol, opts Options) Cell {
-	search, xo, err := opts.stateful(explore.Options{})
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	return run(column, p, opts, search, xo)
+	return run(column, p, opts.facade(mpbasset.SearchUnreduced))
 }
 
-// split refines p and runs SPOR (Table II cells).
+// runSplit runs SPOR over p refined by strat (Table II cells).
 func runSplit(p *core.Protocol, strat refine.Strategy, opts Options) Cell {
-	sp, err := refine.Split(p, strat)
-	if err != nil {
-		return Cell{Column: strat.String(), Err: err}
-	}
-	return RunSPOR(strat.String(), sp, opts)
+	mo := opts.facade(mpbasset.SearchSPOR)
+	mo.Split = strat
+	return run(strat.String(), p, mo)
 }
 
 // FormatRows renders rows in the paper's table style.

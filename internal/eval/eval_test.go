@@ -263,3 +263,82 @@ func TestLivenessCellsParallelAndSpilled(t *testing.T) {
 		}
 	}
 }
+
+// TestLivenessTableRejectsLossy pins the mpbench -lossy bugfix: nested DFS
+// needs an exact visited set, so a lossy liveness table carries the
+// facade's rejection in every cell and never a verdict (the cells used to
+// run NDFS over a bitstate store and report one).
+func TestLivenessTableRejectsLossy(t *testing.T) {
+	const want = "Lossy (-lossy) is incompatible with Property (-property)"
+	opts := Options{Budget: time.Minute, Lossy: true}
+	if err := opts.Validate(true); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Validate(liveness) = %v, want %q", err, want)
+	}
+	if err := opts.Validate(false); err != nil {
+		t.Errorf("lossy safety tables rejected: %v", err)
+	}
+	rows, err := LivenessTable(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		for _, c := range r.Cells {
+			if c.Err == nil || !strings.Contains(c.Err.Error(), want) {
+				t.Errorf("%s [%s]: verdict %s, err %v; want the rejection %q", r.Protocol, c.Column, c.Verdict, c.Err, want)
+			}
+		}
+	}
+	if Verify(rows) == nil {
+		t.Error("Verify accepted a table of rejected cells")
+	}
+}
+
+// TestStoreOptionsPerCell pins which cells the store options reach: DPOR
+// cells keep no visited set and drop them (documented on Options), the
+// store-tier table picks its own tier per cell and drops everything but
+// the limits, and a tuning knob that cannot apply is an error cell rather
+// than silently ignored.
+func TestStoreOptionsPerCell(t *testing.T) {
+	single, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := RunDPOR("dpor", single, Options{Budget: time.Minute})
+	for _, opts := range []Options{
+		{Budget: time.Minute, Compress: true},
+		{Budget: time.Minute, Lossy: true, BitstateBytes: 1 << 10},
+		{Budget: time.Minute, StoreBudgetBytes: 2048, SpillDir: t.TempDir()},
+	} {
+		c := RunDPOR("dpor", single, opts)
+		if c.Err != nil || c.Verdict != ref.Verdict || c.States != ref.States || c.Events != ref.Events {
+			t.Errorf("DPOR cell under %+v: %s states=%d events=%d err=%v, want %s states=%d events=%d",
+				opts, c.Verdict, c.States, c.Events, c.Err, ref.Verdict, ref.States, ref.Events)
+		}
+	}
+	if c := RunSPOR("spor", single, Options{Budget: time.Minute, StealDepth: 4}); c.Err == nil ||
+		!strings.Contains(c.Err.Error(), "StealDepth (-steal-depth) requires Workers (-workers)") {
+		t.Errorf("StealDepth without Workers: err %v, want the facade's rejection", c.Err)
+	}
+
+	limits := Options{Budget: time.Minute, MaxStates: 300}
+	plain, err := StoreTierTable(limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := StoreTierTable(Options{
+		Budget: time.Minute, MaxStates: 300,
+		Workers: 4, StealDepth: 2, Lossy: true, Compress: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ri, r := range plain {
+		for ci, c := range r.Cells {
+			n := noisy[ri].Cells[ci]
+			if c.Err != nil || n.Err != nil || c.Verdict != n.Verdict || c.States != n.States || c.Events != n.Events {
+				t.Errorf("%s [%s]: %s states=%d err=%v with limits only, %s states=%d err=%v with every option set",
+					r.Protocol, c.Column, c.Verdict, c.States, c.Err, n.Verdict, n.States, n.Err)
+			}
+		}
+	}
+}

@@ -3,46 +3,30 @@ package eval
 import (
 	"fmt"
 
+	"mpbasset"
 	"mpbasset/internal/core"
-	"mpbasset/internal/explore"
 	"mpbasset/internal/liveness"
-	"mpbasset/internal/por"
 	"mpbasset/internal/protocols/multicast"
 	"mpbasset/internal/protocols/paxos"
 	"mpbasset/internal/protocols/storage"
 )
 
-// RunNDFS is the liveness cell: the protocol is instrumented for prop (the
-// property's visibility marks constrain the reduction, ample-set condition
-// C2) and checked by nested DFS — SPOR-reduced when reduced is true, full
-// expansion otherwise. Under weak fairness the engines force full expansion
-// regardless, so a reduced fair cell equals its unreduced twin. Workers and
-// the spill-store budget apply exactly as in the safety cells (speculative
-// parallel NDFS, bit-identical to the sequential engine).
+// RunNDFS is the liveness cell: the facade instruments the protocol for
+// prop (the property's visibility marks constrain the reduction, ample-set
+// condition C2) and checks it by nested DFS — SPOR-reduced when reduced is
+// true, full expansion otherwise. Under weak fairness the engines force full
+// expansion regardless, so a reduced fair cell equals its unreduced twin.
+// Workers and the spill-store budget apply exactly as in the safety cells
+// (speculative parallel NDFS, bit-identical to the sequential engine);
+// Lossy is rejected — nested DFS needs an exact visited set.
 func RunNDFS(column string, p *core.Protocol, prop *liveness.Property, reduced bool, opts Options) Cell {
-	ip, err := liveness.Instrument(p, prop)
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	xo := explore.Options{Property: prop}
+	search := mpbasset.SearchUnreduced
 	if reduced {
-		exp, err := por.NewExpander(ip)
-		if err != nil {
-			return Cell{Column: column, Err: err}
-		}
-		xo.Expander = exp
+		search = mpbasset.SearchSPOR
 	}
-	// stateful() configures workers, steal depth and the store tier; its
-	// engine choice is for the safety searches, so swap in the nested pair.
-	_, xo, err = opts.stateful(xo)
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	engine := explore.NDFS
-	if opts.Workers > 0 {
-		engine = explore.ParallelNDFS
-	}
-	return run(column, ip, opts, engine, xo)
+	mo := opts.facade(search)
+	mo.Property = prop
+	return run(column, p, mo)
 }
 
 // livenessTarget is one protocol/liveness-property line of the liveness

@@ -3,9 +3,7 @@ package eval
 import (
 	"fmt"
 
-	"mpbasset/internal/core"
-	"mpbasset/internal/explore"
-	"mpbasset/internal/por"
+	"mpbasset"
 	"mpbasset/internal/protocols/paxos"
 	"mpbasset/internal/protocols/storage"
 )
@@ -40,13 +38,12 @@ const storeTierBudget = 256 << 10
 // limit, so the comparison gate checks their verdicts only; the bitstate
 // cell's count is a coverage claim, not a census.
 //
-// The table always runs sequentially (Workers is ignored): which states a
+// The table always runs sequentially and picks its own store tier per
+// cell, so of opts only Budget and MaxStates apply: which states a
 // parallel run's bitstate store omits depends on visit order, and this
 // table's numbers feed the committed baseline.
 func StoreTierTable(opts Options) ([]Row, error) {
-	opts.Workers = 0
-	opts.Lossy = false
-	opts.Compress = false
+	opts = Options{Budget: opts.Budget, MaxStates: opts.MaxStates}
 
 	sp, err := storage.New(storage.Config{Objects: 3, Readers: 1, Model: storage.ModelQuorum})
 	if err != nil {
@@ -54,20 +51,17 @@ func StoreTierTable(opts Options) ([]Row, error) {
 	}
 	compressRow := Row{Protocol: "Regular storage", Setting: "(3,1) quorum", Property: "Read regularity"}
 	for _, tier := range []struct {
-		column   string
-		store    func() explore.Store
-		compress bool
+		column          string
+		exact, compress bool
 	}{
-		{"SPOR hash", func() explore.Store { return explore.NewHashStore() }, false},
-		{"SPOR exact", func() explore.Store { return explore.NewExactStore() }, false},
-		{"SPOR collapse hash", func() explore.Store { return explore.NewHashStore() }, true},
-		{"SPOR collapse exact", func() explore.Store { return explore.NewExactStore() }, true},
+		{"SPOR hash", false, false},
+		{"SPOR exact", true, false},
+		{"SPOR collapse hash", false, true},
+		{"SPOR collapse exact", true, true},
 	} {
-		xo := explore.Options{Store: tier.store()}
-		if tier.compress {
-			xo.Canon = explore.NewCollapser().Canon
-		}
-		compressRow.Cells = append(compressRow.Cells, runSPORCell(tier.column, sp, opts, xo))
+		mo := opts.facade(mpbasset.SearchSPOR)
+		mo.ExactStates, mo.Compress = tier.exact, tier.compress
+		compressRow.Cells = append(compressRow.Cells, run(tier.column, sp, mo))
 	}
 
 	px, err := paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1, Model: paxos.ModelQuorum})
@@ -77,33 +71,19 @@ func StoreTierTable(opts Options) ([]Row, error) {
 	budgetStates := storeTierBudget / hashEntryBytes
 	bitstateRow := Row{Protocol: "Paxos", Setting: "(2,3,1) quorum", Property: "Consensus"}
 
-	capped := opts
+	capped := opts.facade(mpbasset.SearchSPOR)
 	if capped.MaxStates == 0 || capped.MaxStates > budgetStates {
 		capped.MaxStates = budgetStates
 	}
-	cell := runSPORCell(fmt.Sprintf("SPOR exact @%dKiB", storeTierBudget>>10), px, capped,
-		explore.Options{Store: explore.NewHashStore()})
+	cell := run(fmt.Sprintf("SPOR exact @%dKiB", storeTierBudget>>10), px, capped)
 	cell.Note = fmt.Sprintf("capped at %d states (%d B/state)", budgetStates, hashEntryBytes)
 	bitstateRow.Cells = append(bitstateRow.Cells, cell)
 
-	bits := explore.NewBitstateStore(storeTierBudget, 0)
-	cell = runSPORCell(fmt.Sprintf("SPOR bitstate @%dKiB", storeTierBudget>>10), px, opts,
-		explore.Options{Store: bits})
-	fill, omission := bits.BitstateStats()
-	cell.Note = fmt.Sprintf("lossy coverage: fill %.4f, omission ~%.1e", fill, omission)
+	lossy := opts.facade(mpbasset.SearchSPOR)
+	lossy.Lossy, lossy.BitstateBytes = true, storeTierBudget
+	cell = run(fmt.Sprintf("SPOR bitstate @%dKiB", storeTierBudget>>10), px, lossy)
+	cell.Note = fmt.Sprintf("lossy coverage: fill %.4f, omission ~%.1e", cell.stats.BitstateFill, cell.stats.BitstateOmission)
 	bitstateRow.Cells = append(bitstateRow.Cells, cell)
 
 	return []Row{compressRow, bitstateRow}, nil
-}
-
-// runSPORCell runs one SPOR cell over a caller-chosen store and canon —
-// the store-tier table picks those per cell, unlike RunSPOR, which derives
-// them from Options.
-func runSPORCell(column string, p *core.Protocol, opts Options, xo explore.Options) Cell {
-	exp, err := por.NewExpander(p)
-	if err != nil {
-		return Cell{Column: column, Err: err}
-	}
-	xo.Expander = exp
-	return run(column, p, opts, explore.DFS, xo)
 }

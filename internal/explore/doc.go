@@ -86,6 +86,12 @@
 // (Collapser.ExpandTrace) before they are reported or replayed, and the
 // two Canon users cannot be stacked.
 //
+// Which engine, store tier and Canon user a run gets, and which pairings
+// are refused, is decided in one place outside this package: the rules and
+// engines tables of the mpbasset facade (mpbasset.Options.Validate,
+// mpbasset.Prepare). This package offers the parts and rejects nothing;
+// the CLIs and eval reach the engines only through the facade.
+//
 // Neighbouring packages place themselves in this matrix in their own
 // docs: por (static reduction feeding the Expander hook), dpor (stateless
 // dynamic reduction, incompatible with every store tier), liveness

@@ -57,11 +57,20 @@
 // Liveness results are deterministic and bit-identical across worker
 // counts and stores, exactly like safety results.
 //
+// Check is the only code that turns options into a running search: it
+// validates them against one option-compatibility table (Options.Validate),
+// then Prepare builds the Plan — refinement, instrumentation, symmetry
+// group, POR analysis, engine choice — and Plan.Run picks the store, runs
+// the engine, closes the spill tier and decompresses the trace. cmd/mpcheck
+// and the mpbench cells are callers of it, so a combination is accepted or
+// refused identically through the Go API and the command lines.
+//
 // See the examples/ directory for complete programs and cmd/mpcheck for
 // the command-line interface.
 package mpbasset
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -140,7 +149,9 @@ const (
 	SearchDPOR
 )
 
-// Options configures Check.
+// Options configures Check. An option that cannot apply to the selected
+// search or store is rejected, never ignored: the rules table below is the
+// one statement of which combinations exist, and Validate evaluates it.
 type Options struct {
 	// Search selects the engine; default SearchSPOR.
 	Search Search
@@ -176,22 +187,19 @@ type Options struct {
 	Workers int
 	// ChunkSize fixes how many frontier nodes a parallel BFS worker claims
 	// per grab; 0 means adaptive (frontier/(workers*8), clamped to
-	// [1, 1024]). Only meaningful with Workers > 0 and SearchBFS; the DFS
-	// searches ignore it.
+	// [1, 1024]). Only accepted with Workers > 0 and SearchBFS.
 	ChunkSize int
 	// BatchSize is the number of successor keys a parallel BFS worker
 	// buffers before a batched visited-set insert (one stripe lock per
-	// batch instead of per key); 0 means the default of 64. Only
-	// meaningful with Workers > 0 and SearchBFS; the DFS searches ignore
-	// it.
+	// batch instead of per key); 0 means the default of 64. Only accepted
+	// with Workers > 0 and SearchBFS.
 	BatchSize int
 	// StealDepth bounds one stolen subtree's speculation in the parallel
 	// DFS and DPOR searches: a worker explores at most this many events
 	// below a stolen sibling (or backtrack point) before reporting back
 	// and stealing afresh; 0 means the default of 8. It tunes throughput
-	// only and never changes results. Only meaningful with Workers > 0
-	// and the DFS searches (SearchSPOR, SearchUnreduced) or SearchDPOR;
-	// SearchBFS ignores it.
+	// only and never changes results. Only accepted with Workers > 0 and
+	// the DFS searches (SearchSPOR, SearchUnreduced) or SearchDPOR.
 	StealDepth int
 	// ExactStates stores full state keys instead of 128-bit fingerprints
 	// (more memory, zero collision risk). Incompatible with
@@ -261,34 +269,176 @@ type Options struct {
 	Property *Property
 }
 
-// Check verifies the protocol's invariant over its full (possibly reduced)
-// state space and returns the verdict, statistics, and — for violations —
-// a counterexample trace.
-func Check(p *Protocol, opts Options) (*Result, error) {
+// facts is the bit set the rule and engine tables are written over: which
+// search family an Options value selects and which optional features it
+// sets. Computing it once keeps rule evaluation allocation-free.
+type facts uint32
+
+const (
+	searchDFS facts = 1 << iota // SearchSPOR (the default) or SearchUnreduced
+	searchBFS
+	searchStateless
+	searchDPOR
+	hasWorkers
+	hasChunkSize
+	hasBatchSize
+	hasStealDepth
+	hasExactStates
+	hasBudget
+	hasSpillDir
+	hasCompress
+	hasLossy
+	hasBitstateBytes
+	hasSymmetry
+	hasProperty
+
+	searchStateful = searchDFS | searchBFS
+	searchKnown    = searchStateful | searchStateless | searchDPOR
+)
+
+func (o *Options) facts() facts {
+	var f facts
+	switch o.Search {
+	case 0, SearchSPOR, SearchUnreduced:
+		f = searchDFS
+	case SearchBFS:
+		f = searchBFS
+	case SearchStateless:
+		f = searchStateless
+	case SearchDPOR:
+		f = searchDPOR
+	}
+	for _, b := range [...]struct {
+		set bool
+		bit facts
+	}{
+		{o.Workers > 0, hasWorkers},
+		{o.ChunkSize != 0, hasChunkSize},
+		{o.BatchSize != 0, hasBatchSize},
+		{o.StealDepth != 0, hasStealDepth},
+		{o.ExactStates, hasExactStates},
+		{o.StoreBudgetBytes > 0, hasBudget},
+		{o.SpillDir != "", hasSpillDir},
+		{o.Compress, hasCompress},
+		{o.Lossy, hasLossy},
+		{o.BitstateBytes != 0, hasBitstateBytes},
+		{o.SymmetryRoles != nil, hasSymmetry},
+		{o.Property != nil, hasProperty},
+	} {
+		if b.set {
+			f |= b.bit
+		}
+	}
+	return f
+}
+
+// rules is the option-compatibility table, the one source of truth for
+// which Options (and therefore which mpcheck/mpbench flags) combine. A row
+// is violated when every fact in given holds and none in needs does, so
+// needs == 0 states a plain conflict and given == 0 an unconditional
+// requirement. Rows are checked in order, before anything fallible or
+// resource-owning is built; each message names the Go field and its CLI
+// flag. See the store/engine matrix in package explore's doc for why the
+// excluded combinations are excluded.
+var rules = [...]struct {
+	given, needs facts
+	msg          string
+}{
+	{0, searchKnown, "Search (-search) must be SearchSPOR, SearchUnreduced, SearchBFS, SearchStateless or SearchDPOR"},
+	{hasProperty, searchDFS, "Property (-property) requires a DFS search (SearchSPOR or SearchUnreduced): liveness checking runs nested depth-first search"},
+	{hasSpillDir, hasBudget, "SpillDir (-spill-dir) requires StoreBudgetBytes (-mem-budget): the spill directory is meaningless without a memory budget"},
+	{hasBitstateBytes, hasLossy, "BitstateBytes (-bitstate-bytes) requires Lossy (-lossy): the bit-array budget is meaningless without the lossy store"},
+	{hasLossy, searchStateful, "Lossy (-lossy) requires a stateful search (stateless and DPOR searches keep no visited set)"},
+	{hasLossy | hasProperty, 0, "Lossy (-lossy) is incompatible with Property (-property): nested DFS cycle detection needs an exact visited set"},
+	{hasLossy | hasExactStates, 0, "Lossy (-lossy) is incompatible with ExactStates: the bitstate store keeps hash probes, not states"},
+	{hasLossy | hasBudget, 0, "Lossy (-lossy) is incompatible with StoreBudgetBytes (-mem-budget): the bitstate store never grows, size it with BitstateBytes (-bitstate-bytes) instead"},
+	{hasCompress, searchStateful, "Compress (-compress) requires a stateful search (stateless and DPOR searches keep no visited set to compress)"},
+	{hasCompress | hasSymmetry, 0, "Compress (-compress) is incompatible with SymmetryRoles (-symmetry): symmetry reduction installs its own canonicalizer"},
+	{hasBudget | hasExactStates, 0, "StoreBudgetBytes (-mem-budget) is incompatible with ExactStates: the spill tier stores 128-bit fingerprints only"},
+	{hasBudget, searchStateful, "StoreBudgetBytes (-mem-budget) requires a stateful search (stateless and DPOR searches keep no visited set to spill)"},
+	{hasWorkers | searchStateless, 0, "Workers (-workers) is not supported by SearchStateless (-search stateless): no parallel engine exists for it (SearchDPOR has one)"},
+	{hasChunkSize, hasWorkers, "ChunkSize (-chunk) requires Workers (-workers): it tunes the parallel BFS scheduler's claim size"},
+	{hasChunkSize, searchBFS, "ChunkSize (-chunk) requires SearchBFS (-search bfs): it tunes the parallel BFS frontier scheduler; the DFS and DPOR searches tune StealDepth (-steal-depth) instead"},
+	{hasBatchSize, hasWorkers, "BatchSize (-batch) requires Workers (-workers): it tunes the parallel BFS visited-set insert batching"},
+	{hasBatchSize, searchBFS, "BatchSize (-batch) requires SearchBFS (-search bfs): it tunes the parallel BFS insert batching; the DFS and DPOR searches tune StealDepth (-steal-depth) instead"},
+	{hasStealDepth, hasWorkers, "StealDepth (-steal-depth) requires Workers (-workers): it tunes parallel DFS/DPOR subtree speculation"},
+	{hasStealDepth, searchDFS | searchDPOR, "StealDepth (-steal-depth) requires a DFS search or SearchDPOR (-search dpor): it tunes subtree speculation; SearchBFS tunes ChunkSize/BatchSize (-chunk/-batch) instead"},
+}
+
+// Validate reports the first row of the option-compatibility table that o
+// violates, or nil. Check and Prepare call it first; the CLIs reach it
+// through them, so a combination is refused with the same message whether
+// it arrives through the Go API or a command line.
+func (o *Options) Validate() error {
+	f := o.facts()
+	for i := range rules {
+		if r := &rules[i]; f&r.given == r.given && f&r.needs == 0 {
+			return errors.New("mpbasset: " + r.msg)
+		}
+	}
+	return nil
+}
+
+// engine is one search driver and the facts that select it.
+type engine struct {
+	on   facts
+	name string
+	run  func(*core.Protocol, explore.Options) (*explore.Result, error)
+}
+
+// engines lists the nine search engines; the first row whose facts all
+// hold is the one a validated Options value runs. Each stateful search
+// pairs a sequential engine with a parallel one that reproduces it
+// bit-identically, and a liveness property swaps the DFS pair for the
+// nested (NDFS) pair.
+var engines = [...]engine{
+	{searchDFS | hasProperty | hasWorkers, "speculative parallel NDFS", explore.ParallelNDFS},
+	{searchDFS | hasProperty, "NDFS", explore.NDFS},
+	{searchDFS | hasWorkers, "speculative parallel DFS", explore.ParallelDFS},
+	{searchDFS, "DFS", explore.DFS},
+	{searchBFS | hasWorkers, "frontier-parallel BFS", explore.ParallelBFS},
+	{searchBFS, "BFS", explore.BFS},
+	{searchStateless, "stateless DFS", explore.StatelessDFS},
+	{searchDPOR | hasWorkers, "speculative parallel DPOR", dpor.ExploreParallel},
+	{searchDPOR, "DPOR", dpor.Explore},
+}
+
+// Plan is a validated check with every pure build step done — refinement,
+// property instrumentation, the symmetry group, the static POR analysis,
+// the engine choice — and nothing resource-owning acquired yet; Run
+// executes it.
+type Plan struct {
+	opts   Options
+	p      *Protocol
+	xo     explore.Options // everything but Store and the collapse canon
+	engine *engine
+	perms  int
+}
+
+// Prepare validates opts against the option-compatibility table and builds
+// the Plan for checking p. It is the only code that turns options into a
+// search: Check, cmd/mpcheck and the mpbench cells all go through it.
+func Prepare(p *Protocol, opts Options) (*Plan, error) {
 	if p == nil {
-		return nil, fmt.Errorf("mpbasset: nil protocol")
+		return nil, errors.New("mpbasset: nil protocol")
+	}
+	err := opts.Validate()
+	if err != nil {
+		return nil, err
 	}
 	if opts.Split != SplitNone {
-		sp, err := refine.Split(p, opts.Split)
-		if err != nil {
+		if p, err = refine.Split(p, opts.Split); err != nil {
 			return nil, err
 		}
-		p = sp
 	}
 	if opts.Property != nil {
-		switch opts.Search {
-		case SearchBFS, SearchStateless, SearchDPOR:
-			return nil, fmt.Errorf("mpbasset: Property (-property) requires a DFS search (SearchSPOR or SearchUnreduced): liveness checking runs nested depth-first search")
-		}
-		// Instrument before the expander is built in runSearch, so the
-		// property-visible marks constrain the reduction (C2).
-		ip, err := liveness.Instrument(p, opts.Property)
-		if err != nil {
+		// Instrument before the expander is built, so the property-visible
+		// marks constrain the reduction (ample-set condition C2).
+		if p, err = liveness.Instrument(p, opts.Property); err != nil {
 			return nil, err
 		}
-		p = ip
 	}
-	xo := explore.Options{
+	pl := &Plan{opts: opts, p: p, xo: explore.Options{
 		MaxStates:   opts.MaxStates,
 		MaxDuration: opts.MaxDuration,
 		TrackTrace:  opts.TrackTrace,
@@ -297,78 +447,78 @@ func Check(p *Protocol, opts Options) (*Result, error) {
 		BatchSize:   opts.BatchSize,
 		StealDepth:  opts.StealDepth,
 		Property:    opts.Property,
-	}
-	if opts.SpillDir != "" && opts.StoreBudgetBytes <= 0 {
-		return nil, fmt.Errorf("mpbasset: SpillDir (-spill-dir) requires StoreBudgetBytes (-mem-budget): the spill directory is meaningless without a memory budget")
-	}
-	if opts.BitstateBytes != 0 && !opts.Lossy {
-		return nil, fmt.Errorf("mpbasset: BitstateBytes (-bitstate-bytes) requires Lossy (-lossy): the bit-array budget is meaningless without the lossy store")
-	}
-	parallel := opts.Workers > 0
-	if opts.Lossy {
-		switch opts.Search {
-		case SearchStateless, SearchDPOR:
-			return nil, fmt.Errorf("mpbasset: Lossy (-lossy) requires a stateful search (stateless and DPOR searches keep no visited set)")
-		}
-		switch {
-		case opts.Property != nil:
-			return nil, fmt.Errorf("mpbasset: Lossy (-lossy) is incompatible with Property (-property): nested DFS cycle detection needs an exact visited set")
-		case opts.ExactStates:
-			return nil, fmt.Errorf("mpbasset: Lossy (-lossy) is incompatible with ExactStates: the bitstate store keeps hash probes, not states")
-		case opts.StoreBudgetBytes > 0:
-			return nil, fmt.Errorf("mpbasset: Lossy (-lossy) is incompatible with StoreBudgetBytes (-mem-budget): the bitstate store never grows, size it with BitstateBytes (-bitstate-bytes) instead")
-		}
-	}
-	var coll *explore.Collapser
-	if opts.Compress {
-		switch opts.Search {
-		case SearchStateless, SearchDPOR:
-			return nil, fmt.Errorf("mpbasset: Compress (-compress) requires a stateful search (stateless and DPOR searches keep no visited set to compress)")
-		}
-		if opts.SymmetryRoles != nil {
-			return nil, fmt.Errorf("mpbasset: Compress (-compress) is incompatible with SymmetryRoles (-symmetry): symmetry reduction installs its own canonicalizer")
-		}
-		coll = explore.NewCollapser()
-		xo.Canon = coll.Canon
-	}
-	var spill *explore.SpillStore
-	if opts.Lossy {
-		xo.Store = explore.NewBitstateStore(opts.BitstateBytes, 0)
-	} else if opts.StoreBudgetBytes > 0 {
-		if opts.ExactStates {
-			return nil, fmt.Errorf("mpbasset: StoreBudgetBytes is incompatible with ExactStates (the spill tier stores 128-bit fingerprints only)")
-		}
-		switch opts.Search {
-		case SearchStateless, SearchDPOR:
-			return nil, fmt.Errorf("mpbasset: StoreBudgetBytes (-mem-budget) requires a stateful search (stateless and DPOR searches keep no visited set to spill)")
-		}
-		sp, err := explore.NewSpillStore(explore.SpillConfig{
-			BudgetBytes: opts.StoreBudgetBytes,
-			Dir:         opts.SpillDir,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spill = sp
-		xo.Store = sp
-	} else {
-		switch {
-		case parallel && opts.ExactStates:
-			xo.Store = explore.NewShardedExactStore()
-		case parallel:
-			xo.Store = explore.NewShardedHashStore()
-		case !opts.ExactStates:
-			xo.Store = explore.NewHashStore()
-		}
-	}
+	}}
 	if opts.SymmetryRoles != nil {
 		canon, err := symmetry.New(p.N, opts.SymmetryRoles)
 		if err != nil {
 			return nil, err
 		}
-		xo.Canon = canon.Canon
+		pl.xo.Canon = canon.Canon
+		pl.perms = canon.NumPermutations()
 	}
-	res, err := runSearch(p, opts, xo, parallel)
+	if opts.Search == SearchSPOR || opts.Search == 0 {
+		exp, err := por.NewExpander(p)
+		if err != nil {
+			return nil, err
+		}
+		exp.BestSeed = opts.BestSeed
+		pl.xo.Expander = exp
+	}
+	// Validate admitted only known searches, so some row matches.
+	f := opts.facts()
+	for i := range engines {
+		if e := &engines[i]; f&e.on == e.on {
+			pl.engine = e
+			break
+		}
+	}
+	return pl, nil
+}
+
+// Protocol returns the protocol the search runs on: the caller's, refined
+// by Options.Split and instrumented for Options.Property. Counterexample
+// traces are over its transitions.
+func (pl *Plan) Protocol() *Protocol { return pl.p }
+
+// Engine names the search engine Run drives, e.g. "DFS" or "speculative
+// parallel NDFS".
+func (pl *Plan) Engine() string { return pl.engine.name }
+
+// Permutations is the size of the symmetry group built from
+// Options.SymmetryRoles; 0 without symmetry reduction.
+func (pl *Plan) Permutations() int { return pl.perms }
+
+// Run acquires the visited store the options select, runs the search,
+// releases the store and returns the result, with compressed trace keys
+// already expanded.
+func (pl *Plan) Run() (*Result, error) {
+	o, xo := &pl.opts, pl.xo
+	var coll *explore.Collapser
+	if o.Compress {
+		coll = explore.NewCollapser()
+		xo.Canon = coll.Canon
+	}
+	var spill *explore.SpillStore
+	switch {
+	case o.Lossy:
+		xo.Store = explore.NewBitstateStore(o.BitstateBytes, 0)
+	case o.StoreBudgetBytes > 0:
+		var err error
+		spill, err = explore.NewSpillStore(explore.SpillConfig{BudgetBytes: o.StoreBudgetBytes, Dir: o.SpillDir})
+		if err != nil {
+			return nil, err
+		}
+		xo.Store = spill
+	case o.Workers > 0 && o.ExactStates:
+		xo.Store = explore.NewShardedExactStore()
+	case o.Workers > 0:
+		xo.Store = explore.NewShardedHashStore()
+	case o.ExactStates:
+		xo.Store = explore.NewExactStore()
+	default:
+		xo.Store = explore.NewHashStore()
+	}
+	res, err := pl.engine.run(pl.p, xo)
 	// The spill store owns disk state (run files, possibly a temporary
 	// directory); release it before handing the result back. Spill
 	// activity was already copied into res.Stats by the engine.
@@ -393,53 +543,14 @@ func Check(p *Protocol, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runSearch dispatches to the engine selected by opts.Search.
-func runSearch(p *Protocol, opts Options, xo explore.Options, parallel bool) (*Result, error) {
-	search := opts.Search
-	if search == 0 {
-		search = SearchSPOR
+// Check verifies the protocol's invariant (or Options.Property) over its
+// full, possibly reduced, state space and returns the verdict, statistics,
+// and — for violations — a counterexample trace. It is Prepare followed by
+// Plan.Run.
+func Check(p *Protocol, opts Options) (*Result, error) {
+	pl, err := Prepare(p, opts)
+	if err != nil {
+		return nil, err
 	}
-	// Each stateful search has a sequential engine and a parallel engine
-	// that reproduces it bit-identically: the DFS searches pair with the
-	// speculative ParallelDFS, the BFS search with the frontier-parallel
-	// ParallelBFS. With a liveness property the DFS searches run the nested
-	// (NDFS) variants instead, same determinism guarantee.
-	stateful := func(sequential, parallelEngine func(*core.Protocol, explore.Options) (*explore.Result, error)) (*Result, error) {
-		if parallel {
-			return parallelEngine(p, xo)
-		}
-		return sequential(p, xo)
-	}
-	dfs := func() (*Result, error) {
-		if xo.Property != nil {
-			return stateful(explore.NDFS, explore.ParallelNDFS)
-		}
-		return stateful(explore.DFS, explore.ParallelDFS)
-	}
-	switch search {
-	case SearchSPOR:
-		exp, err := por.NewExpander(p)
-		if err != nil {
-			return nil, err
-		}
-		exp.BestSeed = opts.BestSeed
-		xo.Expander = exp
-		return dfs()
-	case SearchUnreduced:
-		return dfs()
-	case SearchBFS:
-		return stateful(explore.BFS, explore.ParallelBFS)
-	case SearchStateless:
-		if parallel {
-			return nil, fmt.Errorf("mpbasset: Workers (-workers) is not supported by stateless search — no parallel engine exists for it (SearchDPOR has one)")
-		}
-		return explore.StatelessDFS(p, xo)
-	case SearchDPOR:
-		if parallel {
-			return dpor.ExploreParallel(p, xo)
-		}
-		return dpor.Explore(p, xo)
-	default:
-		return nil, fmt.Errorf("mpbasset: unknown search %d", search)
-	}
+	return pl.Run()
 }

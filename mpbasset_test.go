@@ -1,6 +1,8 @@
 package mpbasset_test
 
 import (
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -261,30 +263,6 @@ func TestCheckStoreBudget(t *testing.T) {
 	}
 }
 
-// TestCheckStoreBudgetRejections pins the option-combination errors.
-func TestCheckStoreBudgetRejections(t *testing.T) {
-	p, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mpbasset.Check(p, mpbasset.Options{SpillDir: t.TempDir()}); err == nil {
-		t.Error("SpillDir without StoreBudgetBytes accepted")
-	}
-	if _, err := mpbasset.Check(p, mpbasset.Options{StoreBudgetBytes: 1 << 20, ExactStates: true}); err == nil {
-		t.Error("StoreBudgetBytes with ExactStates accepted")
-	}
-	if _, err := mpbasset.Check(p, mpbasset.Options{StoreBudgetBytes: 1 << 20, Search: mpbasset.SearchStateless}); err == nil {
-		t.Error("StoreBudgetBytes with stateless search accepted")
-	}
-	single, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mpbasset.Check(single, mpbasset.Options{StoreBudgetBytes: 1 << 20, Search: mpbasset.SearchDPOR}); err == nil {
-		t.Error("StoreBudgetBytes with DPOR search accepted")
-	}
-}
-
 func TestCheckNilProtocol(t *testing.T) {
 	if _, err := mpbasset.Check(nil, mpbasset.Options{}); err == nil {
 		t.Fatal("nil protocol accepted")
@@ -513,38 +491,281 @@ func TestCheckLossy(t *testing.T) {
 	}
 }
 
-// TestCheckLossyCompressRejections pins the option-combination errors of
-// the raw-speed tier: lossy mode wherever soundness demands exactness, and
-// compression where no visited set exists or another canonicalizer is
-// already installed.
-func TestCheckLossyCompressRejections(t *testing.T) {
-	p, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1})
+// ruleFixtures are the protocols and option values the rule tests share:
+// a quorum model for every search but DPOR, which needs the single-message
+// one.
+type ruleFixtures struct {
+	quorum, single *mpbasset.Protocol
+	roles          [][]mpbasset.ProcessID
+	prop           *mpbasset.Property
+}
+
+func newRuleFixtures(t *testing.T) ruleFixtures {
+	t.Helper()
+	cfg := paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1}
+	quorum, err := paxos.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle})
+	scfg := cfg
+	scfg.Model = paxos.ModelSingle
+	single, err := paxos.New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop := mpbasset.Eventually("never", nil, func(*mpbasset.State) bool { return false })
-	cases := []struct {
-		name string
-		p    *mpbasset.Protocol
-		opts mpbasset.Options
+	return ruleFixtures{quorum: quorum, single: single, roles: cfg.Roles(), prop: paxos.Decides(cfg)}
+}
+
+func (fx ruleFixtures) protocol(search mpbasset.Search) *mpbasset.Protocol {
+	if search == mpbasset.SearchDPOR {
+		return fx.single
+	}
+	return fx.quorum
+}
+
+// assertNoSpillLeft fails when a check left anything in the temporary
+// directory its spill stores were pointed at.
+func assertNoSpillLeft(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left behind in the temp dir: %s", e.Name())
+	}
+}
+
+// TestOptionRules is the one test of the option-compatibility table: every
+// row of the table has a minimal violating Options value, rejected by
+// Validate and by Check alike with that row's message, which names both
+// the Go field and the CLI flag; and every combination the per-validator
+// tests of the CLI and the facade used to pin survives as an input row —
+// accepted rows run to a result under a small state cap.
+func TestOptionRules(t *testing.T) {
+	fx := newRuleFixtures(t)
+	const (
+		spor      = mpbasset.SearchSPOR
+		unreduced = mpbasset.SearchUnreduced
+		bfs       = mpbasset.SearchBFS
+		stateless = mpbasset.SearchStateless
+		dpor      = mpbasset.SearchDPOR
+	)
+	fair := *fx.prop
+	fair.WeakFair = true
+	spillDir := t.TempDir()
+
+	// One minimal violation per table row, in table order.
+	msgs := mpbasset.RuleMessages()
+	violations := []struct {
+		opts        mpbasset.Options
+		field, flag string
 	}{
-		{"bitstate-bytes-without-lossy", p, mpbasset.Options{BitstateBytes: 1 << 20}},
-		{"lossy-stateless", p, mpbasset.Options{Lossy: true, Search: mpbasset.SearchStateless}},
-		{"lossy-dpor", single, mpbasset.Options{Lossy: true, Search: mpbasset.SearchDPOR}},
-		{"lossy-property", p, mpbasset.Options{Lossy: true, Property: prop}},
-		{"lossy-exact-states", p, mpbasset.Options{Lossy: true, ExactStates: true}},
-		{"lossy-mem-budget", p, mpbasset.Options{Lossy: true, StoreBudgetBytes: 1 << 20}},
-		{"compress-stateless", p, mpbasset.Options{Compress: true, Search: mpbasset.SearchStateless}},
-		{"compress-dpor", single, mpbasset.Options{Compress: true, Search: mpbasset.SearchDPOR}},
-		{"compress-symmetry", p, mpbasset.Options{Compress: true, SymmetryRoles: [][]mpbasset.ProcessID{{1, 2, 3}}}},
+		{mpbasset.Options{Search: mpbasset.Search(9)}, "Search", "-search"},
+		{mpbasset.Options{Search: bfs, Property: fx.prop}, "Property", "-property"},
+		{mpbasset.Options{SpillDir: spillDir}, "SpillDir", "-spill-dir"},
+		{mpbasset.Options{BitstateBytes: 1 << 20}, "BitstateBytes", "-bitstate-bytes"},
+		{mpbasset.Options{Search: stateless, Lossy: true}, "Lossy", "-lossy"},
+		{mpbasset.Options{Lossy: true, Property: fx.prop}, "Property", "-lossy"},
+		{mpbasset.Options{Lossy: true, ExactStates: true}, "ExactStates", "-lossy"},
+		{mpbasset.Options{Lossy: true, StoreBudgetBytes: 1 << 20}, "StoreBudgetBytes", "-mem-budget"},
+		{mpbasset.Options{Search: dpor, Compress: true}, "Compress", "-compress"},
+		{mpbasset.Options{Compress: true, SymmetryRoles: fx.roles}, "SymmetryRoles", "-symmetry"},
+		{mpbasset.Options{StoreBudgetBytes: 1 << 20, ExactStates: true}, "ExactStates", "-mem-budget"},
+		{mpbasset.Options{Search: dpor, StoreBudgetBytes: 1 << 20}, "StoreBudgetBytes", "-mem-budget"},
+		{mpbasset.Options{Search: stateless, Workers: 2}, "Workers", "-workers"},
+		{mpbasset.Options{Search: bfs, ChunkSize: 16}, "ChunkSize", "-chunk"},
+		{mpbasset.Options{Workers: 4, ChunkSize: 16}, "ChunkSize", "-search bfs"},
+		{mpbasset.Options{Search: bfs, BatchSize: 64}, "BatchSize", "-batch"},
+		{mpbasset.Options{Workers: 4, BatchSize: 64}, "BatchSize", "-search bfs"},
+		{mpbasset.Options{StealDepth: 8}, "StealDepth", "-steal-depth"},
+		{mpbasset.Options{Search: bfs, Workers: 4, StealDepth: 8}, "StealDepth", "-search dpor"},
 	}
-	for _, tc := range cases {
-		if _, err := mpbasset.Check(tc.p, tc.opts); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+	if len(violations) != len(msgs) {
+		t.Fatalf("%d violating inputs for %d rules: every rule needs exactly one", len(violations), len(msgs))
+	}
+	for i, v := range violations {
+		want := "mpbasset: " + msgs[i]
+		err := v.opts.Validate()
+		if err == nil || err.Error() != want {
+			t.Errorf("rule %d: Validate(%+v) = %v, want %q", i, v.opts, err, want)
+			continue
+		}
+		if !strings.Contains(want, v.field) || !strings.Contains(want, "("+v.flag) {
+			t.Errorf("rule %d: message %q does not name field %s and flag %s", i, want, v.field, v.flag)
+		}
+		if res, cerr := mpbasset.Check(fx.protocol(v.opts.Search), v.opts); res != nil || cerr == nil || cerr.Error() != want {
+			t.Errorf("rule %d: Check = %v, %v; want the rule's rejection", i, res, cerr)
 		}
 	}
+
+	// The rows of the retired per-validator tests. reject is a substring of
+	// the expected message; empty means accepted.
+	rows := []struct {
+		name   string
+		opts   mpbasset.Options
+		reject string
+	}{
+		// The CLI's parallel-flag rows: -workers picks the engine matching the
+		// search family ("dfs" parses to SearchUnreduced).
+		{"sequential defaults", mpbasset.Options{}, ""},
+		{"workers with spor", mpbasset.Options{Search: spor, Workers: 8}, ""},
+		{"workers with unreduced", mpbasset.Options{Search: unreduced, Workers: 2}, ""},
+		{"workers with dfs alias", mpbasset.Options{Search: unreduced, Workers: 4}, ""},
+		{"workers with bfs", mpbasset.Options{Search: bfs, Workers: 4}, ""},
+		{"workers with dpor", mpbasset.Options{Search: dpor, Workers: 1}, ""},
+		{"many workers with dpor", mpbasset.Options{Search: dpor, Workers: 8}, ""},
+		{"workers with stateless", mpbasset.Options{Search: stateless, Workers: 4}, "Workers (-workers) is not supported by SearchStateless"},
+		// The three tuning knobs, on the Go API as on the command line.
+		{"workers with bfs knobs", mpbasset.Options{Search: bfs, Workers: 4, ChunkSize: 16, BatchSize: 128}, ""},
+		{"chunk without workers", mpbasset.Options{ChunkSize: 16}, "ChunkSize (-chunk) requires Workers (-workers)"},
+		{"batch without workers", mpbasset.Options{BatchSize: 64}, "BatchSize (-batch) requires Workers (-workers)"},
+		{"both knobs without workers", mpbasset.Options{Search: bfs, ChunkSize: 8, BatchSize: 8}, "ChunkSize (-chunk) requires Workers (-workers)"},
+		{"chunk with parallel dfs", mpbasset.Options{Search: spor, Workers: 4, ChunkSize: 16}, "ChunkSize (-chunk) requires SearchBFS"},
+		{"batch with parallel dfs", mpbasset.Options{Search: unreduced, Workers: 4, BatchSize: 64}, "BatchSize (-batch) requires SearchBFS"},
+		{"chunk with parallel dpor", mpbasset.Options{Search: dpor, Workers: 4, ChunkSize: 16}, "tune StealDepth (-steal-depth) instead"},
+		{"batch with parallel dpor", mpbasset.Options{Search: dpor, Workers: 4, BatchSize: 64}, "tune StealDepth (-steal-depth) instead"},
+		{"steal-depth with spor", mpbasset.Options{Search: spor, Workers: 4, StealDepth: 8}, ""},
+		{"steal-depth with dfs alias", mpbasset.Options{Search: unreduced, Workers: 8, StealDepth: 3}, ""},
+		{"steal-depth with unreduced", mpbasset.Options{Search: unreduced, Workers: 2, StealDepth: 64}, ""},
+		{"steal-depth with dpor", mpbasset.Options{Search: dpor, Workers: 4, StealDepth: 8}, ""},
+		{"steal-depth without workers", mpbasset.Options{StealDepth: 8}, "StealDepth (-steal-depth) requires Workers (-workers)"},
+		{"steal-depth with parallel bfs", mpbasset.Options{Search: bfs, Workers: 4, StealDepth: 8}, "StealDepth (-steal-depth) requires a DFS search or SearchDPOR"},
+		// The CLI's spill-flag rows and TestCheckStoreBudgetRejections.
+		{"budget with spor", mpbasset.Options{StoreBudgetBytes: 1 << 20}, ""},
+		{"budget with unreduced", mpbasset.Options{Search: unreduced, StoreBudgetBytes: 1 << 20}, ""},
+		{"budget with bfs", mpbasset.Options{Search: bfs, StoreBudgetBytes: 1 << 20}, ""},
+		{"budget and dir", mpbasset.Options{Search: bfs, StoreBudgetBytes: 1 << 20, SpillDir: spillDir}, ""},
+		{"budget with stateless", mpbasset.Options{Search: stateless, StoreBudgetBytes: 1 << 20}, "StoreBudgetBytes (-mem-budget) requires a stateful search"},
+		{"budget with dpor", mpbasset.Options{Search: dpor, StoreBudgetBytes: 1 << 20}, "StoreBudgetBytes (-mem-budget) requires a stateful search"},
+		{"dir without budget", mpbasset.Options{SpillDir: spillDir}, "SpillDir (-spill-dir) requires StoreBudgetBytes (-mem-budget)"},
+		{"budget with exact states", mpbasset.Options{StoreBudgetBytes: 1 << 20, ExactStates: true}, "StoreBudgetBytes (-mem-budget) is incompatible with ExactStates"},
+		// The CLI's liveness-flag rows and TestCheckLiveness's rejections (-fair
+		// without -property has no Options form: cli.BuildProperty refuses it).
+		{"property with spor", mpbasset.Options{Property: fx.prop}, ""},
+		{"property with unreduced", mpbasset.Options{Search: unreduced, Property: fx.prop}, ""},
+		{"property and fair", mpbasset.Options{Property: &fair}, ""},
+		{"property with bfs", mpbasset.Options{Search: bfs, Property: fx.prop}, "Property (-property) requires a DFS search"},
+		{"property with stateless", mpbasset.Options{Search: stateless, Property: fx.prop}, "Property (-property) requires a DFS search"},
+		{"property with dpor", mpbasset.Options{Search: dpor, Property: fx.prop}, "Property (-property) requires a DFS search"},
+		{"fair with bfs property", mpbasset.Options{Search: bfs, Property: &fair}, "Property (-property) requires a DFS search"},
+		// The CLI's -lossy rows (untested until now) and the lossy half of
+		// TestCheckLossyCompressRejections.
+		{"lossy with spor", mpbasset.Options{Lossy: true}, ""},
+		{"lossy with bfs", mpbasset.Options{Search: bfs, Lossy: true}, ""},
+		{"lossy with workers", mpbasset.Options{Lossy: true, Workers: 2}, ""},
+		{"lossy sized", mpbasset.Options{Lossy: true, BitstateBytes: 1 << 10}, ""},
+		{"bitstate-bytes without lossy", mpbasset.Options{BitstateBytes: 1 << 20}, "BitstateBytes (-bitstate-bytes) requires Lossy (-lossy)"},
+		{"lossy with stateless", mpbasset.Options{Search: stateless, Lossy: true}, "Lossy (-lossy) requires a stateful search"},
+		{"lossy with dpor", mpbasset.Options{Search: dpor, Lossy: true}, "Lossy (-lossy) requires a stateful search"},
+		{"lossy with property", mpbasset.Options{Lossy: true, Property: fx.prop}, "Lossy (-lossy) is incompatible with Property (-property)"},
+		{"lossy with exact states", mpbasset.Options{Lossy: true, ExactStates: true}, "Lossy (-lossy) is incompatible with ExactStates"},
+		{"lossy with mem-budget", mpbasset.Options{Lossy: true, StoreBudgetBytes: 1 << 20}, "Lossy (-lossy) is incompatible with StoreBudgetBytes (-mem-budget)"},
+		// The CLI's -compress rows (untested until now) and the compress half.
+		{"compress with spor", mpbasset.Options{Compress: true}, ""},
+		{"compress with bfs", mpbasset.Options{Search: bfs, Compress: true}, ""},
+		{"compress with mem-budget", mpbasset.Options{Compress: true, StoreBudgetBytes: 1 << 20}, ""},
+		{"compress with stateless", mpbasset.Options{Search: stateless, Compress: true}, "Compress (-compress) requires a stateful search"},
+		{"compress with dpor", mpbasset.Options{Search: dpor, Compress: true}, "Compress (-compress) requires a stateful search"},
+		{"compress with symmetry", mpbasset.Options{Compress: true, SymmetryRoles: fx.roles}, "Compress (-compress) is incompatible with SymmetryRoles (-symmetry)"},
+	}
+	for _, tc := range rows {
+		opts := tc.opts
+		opts.MaxStates = 200
+		res, err := mpbasset.Check(fx.protocol(opts.Search), opts)
+		if tc.reject == "" {
+			if err != nil || res == nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if res != nil || err == nil || !strings.Contains(err.Error(), tc.reject) {
+			t.Errorf("%s: result %v, error %v; want a rejection containing %q", tc.name, res, err, tc.reject)
+		}
+	}
+}
+
+// TestOptionSweep crosses every search with every subset of the features
+// the rules mention: each combination is either rejected by the table —
+// Check then returns exactly Validate's error — or runs to a result in
+// which the selected store tier is visibly the one that ran. Nothing
+// panics, nothing is silently dropped, and no combination leaves spill
+// files behind.
+func TestOptionSweep(t *testing.T) {
+	fx := newRuleFixtures(t)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	features := []func(*mpbasset.Options){
+		func(o *mpbasset.Options) { o.Workers = 2 },
+		func(o *mpbasset.Options) { o.Property = fx.prop },
+		func(o *mpbasset.Options) { o.Lossy = true },
+		func(o *mpbasset.Options) { o.Compress = true },
+		func(o *mpbasset.Options) { o.StoreBudgetBytes = 1 },
+		func(o *mpbasset.Options) { o.SymmetryRoles = fx.roles },
+		func(o *mpbasset.Options) { o.ExactStates = true },
+	}
+	accepted := 0
+	for search := mpbasset.Search(0); search <= mpbasset.SearchDPOR; search++ {
+		for mask := 0; mask < 1<<len(features); mask++ {
+			opts := mpbasset.Options{Search: search, MaxStates: 60, TrackTrace: true}
+			for i, set := range features {
+				if mask&(1<<i) != 0 {
+					set(&opts)
+				}
+			}
+			verr := opts.Validate()
+			if verr == nil && opts.Workers > 0 && opts.Property != nil && opts.SymmetryRoles != nil {
+				// Known engine bug, present before this table existed and
+				// out of the facade's hands (ROADMAP, robustness item):
+				// ParallelNDFS under a symmetry canon replays memoized
+				// events on another representative of the orbit and fails,
+				// a few runs in a hundred, with "message … not pending".
+				// No rule excludes the combination, so the sweep cannot
+				// hold it to "returns a result" until the engine is fixed.
+				continue
+			}
+			res, err := mpbasset.Check(fx.protocol(search), opts)
+			if verr != nil {
+				if res != nil || err == nil || err.Error() != verr.Error() {
+					t.Errorf("search %d mask %07b: Validate says %q, Check returned %v, %v", search, mask, verr, res, err)
+				}
+				continue
+			}
+			if err != nil || res == nil {
+				t.Errorf("search %d mask %07b: accepted by the rules, Check failed: %v", search, mask, err)
+				continue
+			}
+			accepted++
+			if opts.Lossy != (res.Stats.BitstateFill > 0) {
+				t.Errorf("search %d mask %07b: Lossy %v, bitstate fill %v", search, mask, opts.Lossy, res.Stats.BitstateFill)
+			}
+			if (opts.StoreBudgetBytes > 0) != (res.Stats.SpillRuns > 0) {
+				t.Errorf("search %d mask %07b: StoreBudgetBytes %d, %d spill runs", search, mask, opts.StoreBudgetBytes, res.Stats.SpillRuns)
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Error("the sweep accepted nothing")
+	}
+	assertNoSpillLeft(t, tmp)
+}
+
+// TestCheckReleasesSpillOnError is the regression test for the spill
+// temp-dir leak: a check that fails after validation — a symmetry group
+// over a process the protocol does not have — or on an unknown search used
+// to return with an open spill store's mpbasset-spill-* directory left in
+// TMPDIR. Every fallible build step now runs before the store is acquired.
+func TestCheckReleasesSpillOnError(t *testing.T) {
+	fx := newRuleFixtures(t)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for name, opts := range map[string]mpbasset.Options{
+		"symmetry out of range": {StoreBudgetBytes: 1 << 20, SymmetryRoles: [][]mpbasset.ProcessID{{1, 99}}},
+		"unknown search":        {StoreBudgetBytes: 1 << 20, Search: mpbasset.Search(9)},
+	} {
+		if res, err := mpbasset.Check(fx.quorum, opts); err == nil {
+			t.Errorf("%s: accepted (%v)", name, res.Verdict)
+		}
+	}
+	assertNoSpillLeft(t, tmp)
 }
