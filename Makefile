@@ -64,10 +64,11 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # One iteration of every benchmark with a tight per-cell budget: keeps the
-# benchmark suites compiling and runnable in CI without paying for real
-# measurements.
+# benchmark suites (the facade's, the engines', and the core and por
+# microbenchmarks perf PRs quote) compiling and runnable in CI without
+# paying for real measurements.
 bench-smoke:
-	MPBASSET_BENCH_BUDGET=2s $(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/explore/
+	MPBASSET_BENCH_BUDGET=2s $(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/explore/ ./internal/core/ ./internal/por/
 
 # The CI determinism gate: run every table under the fixed work cap, write
 # the machine-readable report, and fail on any verdict or state/event-count

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -9,10 +10,13 @@ import (
 // contents. Channels are unordered per the MP model, so a counted set of
 // distinct messages represents them faithfully.
 //
-// The entries are kept sorted by canonical message key, each key computed
-// once when the message is added and cached inside it. Cloning is one slice
-// copy, Add/Remove/Count are a binary search, the canonical encoding is a
-// linear walk, and message matching is a scan that allocates nothing.
+// The entries are kept sorted by canonical message key. An entry is a
+// pointer to an immutable message record — the message with its key cached,
+// allocated once when the message is first added and shared by every bag
+// that ever holds it — plus a multiplicity, so copying a bag copies 16
+// bytes per distinct message. Add/Remove/Count are a binary search, the
+// canonical encoding is a linear walk, and message matching is a scan that
+// allocates nothing.
 //
 // The zero value is an empty bag.
 type Bag struct {
@@ -21,27 +25,29 @@ type Bag struct {
 }
 
 type bagEntry struct {
-	msg Message // key cached
+	msg *Message // key cached; never written after the entry is built
 	n   int
 }
 
 // NewBag returns an empty bag.
 func NewBag() *Bag { return &Bag{} }
 
-// find returns the position of key k in the entries, or the position at
+// findEntry returns the position of key k in entries, or the position at
 // which it would be inserted, and whether it is present.
-func (b *Bag) find(k string) (int, bool) {
-	lo, hi := 0, len(b.entries)
+func findEntry(entries []bagEntry, k string) (int, bool) {
+	lo, hi := 0, len(entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b.entries[mid].msg.key < k {
+		if entries[mid].msg.key < k {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(b.entries) && b.entries[lo].msg.key == k
+	return lo, lo < len(entries) && entries[lo].msg.key == k
 }
+
+func (b *Bag) find(k string) (int, bool) { return findEntry(b.entries, k) }
 
 // Add inserts one copy of m.
 func (b *Bag) Add(m Message) {
@@ -52,7 +58,9 @@ func (b *Bag) Add(m Message) {
 	} else {
 		b.entries = append(b.entries, bagEntry{})
 		copy(b.entries[i+1:], b.entries[i:])
-		b.entries[i] = bagEntry{msg: m, n: 1}
+		rec := new(Message)
+		*rec = m
+		b.entries[i] = bagEntry{msg: rec, n: 1}
 	}
 	b.size++
 }
@@ -68,7 +76,7 @@ func (b *Bag) Remove(m Message) bool {
 	} else {
 		last := len(b.entries) - 1
 		copy(b.entries[i:], b.entries[i+1:])
-		b.entries[last] = bagEntry{} // drop the payload reference
+		b.entries[last] = bagEntry{} // drop the record reference
 		b.entries = b.entries[:last]
 	}
 	b.size--
@@ -89,7 +97,8 @@ func (b *Bag) Len() int { return b.size }
 // Distinct returns the number of distinct messages.
 func (b *Bag) Distinct() int { return len(b.entries) }
 
-// Clone returns an independent copy of the bag.
+// Clone returns an independent copy of the bag; the two share the immutable
+// message records. Execute does not clone: see successor.
 func (b *Bag) Clone() *Bag {
 	return &Bag{entries: append([]bagEntry(nil), b.entries...), size: b.size}
 }
@@ -98,7 +107,7 @@ func (b *Bag) Clone() *Bag {
 // ascending order of message key.
 func (b *Bag) Each(f func(m Message, n int)) {
 	for i := range b.entries {
-		f(b.entries[i].msg, b.entries[i].n)
+		f(*b.entries[i].msg, b.entries[i].n)
 	}
 }
 
@@ -124,7 +133,7 @@ func (m *Message) matches(proc ProcessID, typ string, peers []ProcessID) bool {
 // peers.
 func (b *Bag) appendMatchingByKey(dst []Message, proc ProcessID, typ string, peers []ProcessID) []Message {
 	for i := range b.entries {
-		if m := &b.entries[i].msg; m.matches(proc, typ, peers) {
+		if m := b.entries[i].msg; m.matches(proc, typ, peers) {
 			dst = append(dst, *m)
 		}
 	}
@@ -172,7 +181,7 @@ func (b *Bag) HasMatchingSenders(proc ProcessID, typ string, peers []ProcessID, 
 	// "<from>>" key prefix), so distinct senders are sender changes.
 	last := ProcessID(-1)
 	for i := range b.entries {
-		m := &b.entries[i].msg
+		m := b.entries[i].msg
 		if m.From == last || !m.matches(proc, typ, peers) {
 			continue
 		}
@@ -188,6 +197,100 @@ func (b *Bag) HasMatchingSenders(proc ProcessID, typ string, peers []ProcessID, 
 // proc with the given type from an allowed sender.
 func (b *Bag) HasMatching(proc ProcessID, typ string, peers []ProcessID) bool {
 	return b.HasMatchingSenders(proc, typ, peers, 1)
+}
+
+// locate appends to dst, in ascending order, the entry position of every
+// message of msgs (k times for a message that occurs k times) and returns
+// nil; or it returns the first message of msgs, in the order given, that
+// the bag has no copy left of. msgs need neither be sorted nor carry
+// cached keys.
+func (b *Bag) locate(dst []int, msgs []Message) ([]int, *Message) {
+	for i := range msgs {
+		pos, ok := b.find(msgs[i].Key())
+		if !ok {
+			return dst, &msgs[i]
+		}
+		j, taken := len(dst), 0
+		for ; j > 0 && dst[j-1] >= pos; j-- {
+			if dst[j-1] == pos {
+				taken++
+			}
+		}
+		if taken == b.entries[pos].n {
+			return dst, &msgs[i]
+		}
+		dst = slices.Insert(dst, j, pos)
+	}
+	return dst, nil
+}
+
+// successor returns the bag that results from removing one copy at each
+// position of drop (ascending, as locate returns them) and then adding
+// sends, which must be sorted by key with the keys cached. It is one merge
+// into one allocation: unchanged entries are copied in runs and share their
+// records with b; a message b never held gets &sends[i] as its record, so
+// sends belongs to the result from here on.
+func (b *Bag) successor(drop []int, sends []Message) Bag {
+	old := b.entries
+	// Each send adds at most one entry and each position dropped to zero
+	// frees one, so this capacity is never exceeded, and it is exact unless
+	// a send repeats another or tops up an entry that stays.
+	zeroed := 0
+	for d := 0; d < len(drop); {
+		pos, k := drop[d], 0
+		for ; d < len(drop) && drop[d] == pos; d++ {
+			k++
+		}
+		if k == old[pos].n {
+			zeroed++
+		}
+	}
+	out := make([]bagEntry, 0, len(old)-zeroed+len(sends))
+	i, d, s := 0, 0, 0
+	for d < len(drop) || s < len(sends) {
+		// The next entry that changes is the lower-keyed of the next
+		// dropped one and the next send's (present in old or not).
+		pos, found := 0, true
+		if d < len(drop) && (s == len(sends) || old[drop[d]].msg.key <= sends[s].key) {
+			pos = drop[d]
+		} else {
+			pos, found = findEntry(old[i:], sends[s].key)
+			pos += i
+		}
+		out = append(out, old[i:pos]...)
+		i = pos
+		var e bagEntry
+		if found {
+			e = old[pos]
+			i++
+			for ; d < len(drop) && drop[d] == pos; d++ {
+				e.n--
+			}
+		} else {
+			e.msg = &sends[s]
+		}
+		for ; s < len(sends) && sends[s].key == e.msg.key; s++ {
+			e.n++
+		}
+		if e.n > 0 {
+			out = append(out, e)
+		}
+	}
+	out = append(out, old[i:]...)
+	return Bag{entries: out, size: b.size - len(drop) + len(sends)}
+}
+
+// keyLen returns len(b.Key()) from the cached message keys.
+func (b *Bag) keyLen() int {
+	l := 0
+	for i := range b.entries {
+		e := &b.entries[i]
+		l += 1 + len(e.msg.key)
+		if e.n > 1 {
+			l += 1 + len(strconv.Itoa(e.n))
+		}
+	}
+	return l
 }
 
 // appendKey writes the canonical encoding of the bag: message keys in
@@ -207,6 +310,7 @@ func (b *Bag) appendKey(sb *strings.Builder) {
 // Key returns the canonical encoding of the bag contents.
 func (b *Bag) Key() string {
 	var sb strings.Builder
+	sb.Grow(b.keyLen())
 	b.appendKey(&sb)
 	return sb.String()
 }

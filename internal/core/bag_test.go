@@ -159,3 +159,75 @@ func TestSenders(t *testing.T) {
 		t.Fatalf("Senders(nil) = %v", got)
 	}
 }
+
+// TestSuccessorAgainstCloneRemoveAdd drives the one-pass successor merge
+// and the construction it replaced — Clone, Remove each consumed message,
+// Add each send — with the same random inputs. The small message domain
+// forces multiplicities above one, sends that repeat each other, sends that
+// top up a surviving entry and sends that put a fully consumed message
+// back; senders on both sides of ten make key order and numeric order of
+// the senders differ; one consumed set in four names a message the bag has
+// no copy left of.
+func TestSuccessorAgainstCloneRemoveAdd(t *testing.T) {
+	froms := []ProcessID{0, 1, 2, 9, 10, 11, 100}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randMsg := func() Message {
+			return msg(froms[rng.Intn(len(froms))], ProcessID(rng.Intn(2)), []string{"A", "AB"}[rng.Intn(2)], rng.Intn(2))
+		}
+		parent := NewBag()
+		var pending []Message
+		for i := rng.Intn(25); i > 0; i-- {
+			m := randMsg()
+			parent.Add(m)
+			pending = append(pending, m)
+		}
+		parentKey := parent.Key()
+
+		var consumed []Message
+		for _, i := range rng.Perm(len(pending))[:rng.Intn(min(len(pending), 5)+1)] {
+			consumed = append(consumed, pending[i])
+		}
+		if rng.Intn(4) == 0 {
+			consumed = append(consumed, randMsg())
+		}
+		var sends []Message
+		for i := rng.Intn(5); i > 0; i-- {
+			sends = append(sends, randMsg())
+		}
+		if len(consumed) > 0 && rng.Intn(2) == 0 {
+			m := consumed[rng.Intn(len(consumed))]
+			sends = append(sends, msg(m.From, m.To, m.Type, m.Payload.(intPayload).V))
+		}
+
+		want, wantMissing := parent.Clone(), ""
+		for _, m := range consumed {
+			if !want.Remove(m) {
+				wantMissing = m.Key()
+				break
+			}
+		}
+		drop, missing := parent.locate(nil, consumed)
+		if wantMissing != "" || missing != nil {
+			if missing == nil || missing.Key() != wantMissing {
+				t.Fatalf("seed %d: locate reports %v missing, Remove %q", seed, missing, wantMissing)
+			}
+			continue
+		}
+		for _, m := range sends {
+			want.Add(m)
+		}
+		SortMessages(sends)
+		got := parent.successor(drop, sends)
+		if got.Key() != want.Key() || got.Len() != want.Len() || got.Distinct() != want.Distinct() {
+			t.Fatalf("seed %d: successor of %s minus %v plus %v\n got %s (%d/%d)\nwant %s (%d/%d)", seed, parentKey, consumed, sends,
+				got.Key(), got.Len(), got.Distinct(), want.Key(), want.Len(), want.Distinct())
+		}
+		if cap(got.entries) > len(parent.entries)+len(sends) {
+			t.Fatalf("seed %d: successor allocated %d entries for a parent of %d and %d sends", seed, cap(got.entries), len(parent.entries), len(sends))
+		}
+		if parent.Key() != parentKey {
+			t.Fatalf("seed %d: building the successor changed the parent", seed)
+		}
+	}
+}

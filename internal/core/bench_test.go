@@ -104,26 +104,47 @@ func BenchmarkEnabledQuorum(b *testing.B) {
 	}
 }
 
+// BenchmarkExecute measures building one successor of a state with an
+// 18-entry bag: one message consumed, three sent.
 func BenchmarkExecute(b *testing.B) {
-	p := quorumBenchProtocol(b)
-	s, err := p.InitialState()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bag := s.Msgs.Clone()
-	bag.Add(msg(0, 3, "Q", 1))
-	bag.Add(msg(1, 3, "Q", 2))
-	s = NewState(s.Locals, bag)
-	events := p.Enabled(s)
-	if len(events) == 0 {
-		b.Fatal("no events")
-	}
+	p := relayProtocol(b, 3)
+	s := relayState(b, p)
+	ev := p.Enabled(s)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Execute(s, events[0]); err != nil {
+		if _, err := p.Execute(s, ev); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSuccessorKey measures the first Key of such a successor, which
+// is what every search pays per event to probe its store. Successors are
+// built in batches with the timer stopped.
+func BenchmarkSuccessorKey(b *testing.B) {
+	p := relayProtocol(b, 3)
+	s := relayState(b, p)
+	ev := p.Enabled(s)[0]
+	batch := make([]*State, 512)
+	var key string
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += len(batch) {
+		b.StopTimer()
+		for j := range batch {
+			ns, err := p.Execute(s, ev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch[j] = ns
+		}
+		b.StartTimer()
+		for _, ns := range batch[:min(len(batch), b.N-i)] {
+			key = ns.Key()
+		}
+	}
+	if key == "" {
+		b.Fatal("empty key")
 	}
 }
 

@@ -20,20 +20,37 @@
 //   - enabled-event enumeration implementing exact quorum semantics
 //     (Definition 2): an event is a pair (t, X) where X holds exactly
 //     q_t messages of t's type from q_t distinct senders;
-//   - execution of events with copy-on-write state construction.
+//   - execution of events, building each successor from what its event
+//     changed.
 //
-// The Bag of in-flight messages is a slice of (message, multiplicity)
-// entries sorted by canonical message key. A message's key is built once,
-// when Bag.Add first sees it, and cached inside the Message value, so every
-// message read back from a bag, an Event or a Ctx answers Key() without
-// rebuilding the string — which is also why a sent Message is immutable
-// (see Message). Cloning a bag is one slice copy, the state key walks the
-// entries in order, Bag.Each iterates in key order, and matching the
+// The Bag of in-flight messages is a slice of (message record,
+// multiplicity) entries sorted by canonical message key. A record is the
+// message with its key cached, allocated once — by Bag.Add, or as a slot of
+// the sending Ctx's buffer — and shared by every bag that ever holds the
+// message, so every message read back from a bag, an Event or a Ctx answers
+// Key() without rebuilding the string — which is also why a sent Message is
+// immutable (see Message). Bag.Each iterates in key order, and matching the
 // pending messages of a transition (AppendMatching, HasMatchingSenders) is
 // a scan into caller-owned scratch: Enabled allocates only the events it
 // returns, StructurallyEnabled and MissingSenders nothing on a complete
 // quorum. Matching orders senders numerically while keys order them as
 // decimal strings; the two differ from eleven processes on.
+//
+// A State carries the canonical key of each process's local state, complete
+// from construction. Execute hands the parent's local states and their keys
+// to the successor and takes only the executing process's key — when that
+// key comes out unchanged the successor shares the parent's vectors outright,
+// otherwise it copies them into the State's own allocation; it builds the
+// successor's bag in one merge of the parent's entries, the consumed set and
+// the sends, copying 16 bytes per untouched message; and State.Key joins the
+// cached local and message keys into one allocation of exactly the key's
+// length. The rule this rests on: a LocalState is immutable once installed
+// in a State — returned by Init, or left in Ctx.Local when Apply returns —
+// and its Key is taken exactly once, then. A transition that writes to a
+// local state it does not own (through Ctx.Global, or a pointer kept from an
+// earlier Apply) corrupts the keys of every state sharing it;
+// Protocol.ValidateSends re-derives the inherited keys on every Execute and
+// fails with the process and transition named.
 //
 // Everything in this package is deterministic: enumeration orders, state
 // keys and event keys are stable across runs, which makes searches

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -199,9 +199,7 @@ func (p *Protocol) MissingSenders(t *Transition, s *State) []ProcessID {
 			missing = append(missing, q)
 		}
 	}
-	if len(missing) > 1 {
-		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	}
+	slices.Sort(missing)
 	return missing
 }
 

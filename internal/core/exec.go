@@ -1,10 +1,13 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Ctx is the execution context handed to a transition's Apply: the private
 // clone of the executing process's local state, the consumed messages, and
-// the send primitive.
+// the send primitive. It is valid until Apply returns; Execute reuses it.
 type Ctx struct {
 	// Self is the executing process.
 	Self ProcessID
@@ -15,8 +18,8 @@ type Ctx struct {
 	// carries no meaning (MP semantics); treat it as a set.
 	Msgs []Message
 
-	view  GlobalView
-	reads []ProcessID
+	t     *Transition // the executing transition; its GlobalReads gate Global
+	pre   *State      // the state the event executes in, which Global reads
 	sends []Message
 }
 
@@ -29,48 +32,64 @@ func (c *Ctx) Send(to ProcessID, typ string, p Payload) {
 	c.sends = append(c.sends, Message{From: c.Self, To: to, Type: typ, Payload: p})
 }
 
-// Global returns the pre-state local state of process p, read-only. It
-// panics unless the executing transition declared p in GlobalReads: global
-// reads break process isolation and must be visible to the POR analysis.
+// Global returns the pre-state local state of process p, which must not be
+// mutated. It is valid inside Apply only, and panics unless the executing
+// transition declared p in GlobalReads: global reads break process
+// isolation and must be visible to the POR analysis, which treats the
+// transition as dependent on the processes it reads. It exists for
+// specification instrumentation (history/observer variables), in the spirit
+// of the escape hatch the paper documents in its appendix (footnote 7).
 func (c *Ctx) Global(p ProcessID) LocalState {
-	for _, q := range c.reads {
+	for _, q := range c.t.GlobalReads {
 		if q == p {
-			return c.view.Local(p)
+			return c.pre.Locals[p]
 		}
 	}
 	panic(fmt.Sprintf("core: transition of process %d reads process %d without declaring it in GlobalReads", c.Self, p))
 }
 
+// ctxPool recycles the contexts Apply runs in, one per concurrent Execute.
+var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
+
 // Execute applies event e to state s and returns the successor state
 // (§II-A semantics): the consumed messages are removed, the local state of
 // the executing process is replaced by the result of the transition body,
-// and the sent messages are added. s is not mutated; unaffected local
-// states are structurally shared.
+// and the sent messages are added. s is not mutated. The successor costs
+// what the event changed: the other processes' local states and their
+// cached keys are inherited, only the executing process's key is taken, and
+// the bag is one merge of s's entries, the consumed set and the sends that
+// shares every untouched message record with s.
 func (p *Protocol) Execute(s *State, e Event) (*State, error) {
 	t := e.T
-	bag := s.Msgs.Clone()
-	for _, m := range e.Msgs {
-		if !bag.Remove(m) {
-			return nil, fmt.Errorf("execute %s: message %s not pending", e, m)
-		}
+	var dropBuf [8]int
+	drop, missing := s.Msgs.locate(dropBuf[:0], e.Msgs)
+	if missing != nil {
+		return nil, fmt.Errorf("execute %s: message %s not pending", e, *missing)
 	}
-	locals := make([]LocalState, len(s.Locals))
-	copy(locals, s.Locals)
-	ctx := &Ctx{
+	ctx := ctxPool.Get().(*Ctx)
+	*ctx = Ctx{
 		Self:  t.Proc,
 		Local: s.Locals[t.Proc].Clone(),
 		Msgs:  e.Msgs,
-		view:  GlobalView{locals: s.Locals},
-		reads: t.GlobalReads,
+		t:     t,
+		pre:   s,
 	}
 	if t.Apply != nil {
 		t.Apply(ctx)
 	}
-	if p.ValidateSends && t.ReadOnly && ctx.Local.Key() != s.Locals[t.Proc].Key() {
-		return nil, fmt.Errorf("transition %s is marked ReadOnly but changed the local state", t)
+	local, sends := ctx.Local, ctx.sends
+	*ctx = Ctx{} // the send buffer now belongs to the successor's bag
+	ctxPool.Put(ctx)
+	localKey := local.Key()
+	if p.ValidateSends {
+		if t.ReadOnly && localKey != s.localKeys[t.Proc] {
+			return nil, fmt.Errorf("transition %s is marked ReadOnly but changed the local state", t)
+		}
+		if err := s.validateLocalKeys(e); err != nil {
+			return nil, err
+		}
 	}
-	locals[t.Proc] = ctx.Local
-	for _, m := range ctx.sends {
+	for _, m := range sends {
 		if m.To < 0 || int(m.To) >= p.N {
 			return nil, fmt.Errorf("execute %s: send to process %d out of range", e, m.To)
 		}
@@ -79,15 +98,33 @@ func (p *Protocol) Execute(s *State, e Event) (*State, error) {
 				return nil, err
 			}
 		}
-		bag.Add(m)
 	}
-	ns := NewState(locals, bag)
+	SortMessages(sends)
+	ns := s.withLocal(t.Proc, local, localKey)
+	ns.bag = s.Msgs.successor(drop, sends)
+	ns.Msgs = &ns.bag
 	if p.ValidateSends {
 		if err := p.validateUniqueness(ns); err != nil {
 			return nil, err
 		}
 	}
 	return ns, nil
+}
+
+// validateLocalKeys re-derives the key of every local state of s and
+// compares it with the cached one a successor is about to inherit (debug
+// mode). A mismatch means some transition mutated a local state after it
+// was installed in a state — through Ctx.Global or a pointer it kept —
+// which cached keys turn into a wrong visited set. e is the event that just
+// ran on s: its transition is the culprit unless an earlier one kept a
+// pointer.
+func (s *State) validateLocalKeys(e Event) error {
+	for i, l := range s.Locals {
+		if k := l.Key(); k != s.localKeys[i] {
+			return fmt.Errorf("execute %s: the local state of process %d was mutated after it was installed in a state (key %q when installed, %q now); transition %s or an earlier one changed a local state it does not own", e, i, s.localKeys[i], k, e.T)
+		}
+	}
+	return nil
 }
 
 // validateUniqueness checks the UniquePerSender claims of all transitions

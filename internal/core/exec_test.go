@@ -198,3 +198,90 @@ func TestGlobalReadDeclared(t *testing.T) {
 		t.Fatalf("observed %d, want 0", observed)
 	}
 }
+
+func TestExecuteRejectsMessageConsumedTwice(t *testing.T) {
+	p := pingPong(t)
+	s0, _ := p.InitialState()
+	s1, err := p.Execute(s0, p.Enabled(s0)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping := p.Enabled(s1)[0].Msgs[0]
+	twice := Event{T: p.Transitions[1], Msgs: []Message{ping, ping}}
+	if _, err := p.Execute(s1, twice); err == nil || !strings.Contains(err.Error(), "0>1:PING not pending") {
+		t.Fatalf("consuming the only pending copy twice: %v", err)
+	}
+}
+
+// TestValidateCatchesMutatedInstalledLocal covers the contract cached local
+// keys rest on: a local state is immutable once a State holds it. Both ways
+// around it — writing through Ctx.Global, and writing through a pointer
+// kept from an earlier Apply — must fail under ValidateSends with the
+// process and the transition named.
+func TestValidateCatchesMutatedInstalledLocal(t *testing.T) {
+	t.Run("through Global", func(t *testing.T) {
+		p := pingPong(t)
+		p.Transitions[0].GlobalReads = []ProcessID{1}
+		p.Transitions[0].Apply = func(c *Ctx) {
+			c.Local.(*counterState).N = 1
+			c.Global(1).(*counterState).N = 41
+			c.Send(1, "PING", NoPayload{})
+		}
+		s0, _ := p.InitialState()
+		_, err := p.Execute(s0, p.Enabled(s0)[0])
+		if err == nil || !strings.Contains(err.Error(), "local state of process 1 was mutated") ||
+			!strings.Contains(err.Error(), "transition 0/START") {
+			t.Fatalf("write through Ctx.Global not caught: %v", err)
+		}
+	})
+	t.Run("through a kept pointer", func(t *testing.T) {
+		p := pingPong(t)
+		var kept *counterState
+		p.Transitions[0].Apply = func(c *Ctx) {
+			kept = c.Local.(*counterState)
+			kept.N = 1
+			c.Send(1, "PING", NoPayload{})
+		}
+		p.Transitions[1].Apply = func(c *Ctx) {
+			kept.N = 7 // process 0's installed state, from process 1
+			c.Local.(*counterState).N++
+			c.Send(c.Msgs[0].From, "PONG", NoPayload{})
+		}
+		s0, _ := p.InitialState()
+		s1, err := p.Execute(s0, p.Enabled(s0)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.Execute(s1, p.Enabled(s1)[0])
+		if err == nil || !strings.Contains(err.Error(), "local state of process 0 was mutated") ||
+			!strings.Contains(err.Error(), "transition 1/PING") {
+			t.Fatalf("write through a kept pointer not caught: %v", err)
+		}
+	})
+}
+
+// TestExecuteSharesUnchangedLocals pins the two shapes of a successor: an
+// event that changes its process's local state copies the vector and
+// replaces one slot, one that leaves it as it was shares the parent's.
+func TestExecuteSharesUnchangedLocals(t *testing.T) {
+	p := pingPong(t)
+	p.Transitions[1].Apply = func(c *Ctx) { c.Send(c.Msgs[0].From, "PONG", NoPayload{}) }
+	s0, _ := p.InitialState()
+	s1, err := p.Execute(s0, p.Enabled(s0)[0]) // START sets N
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s1.Locals[0] == &s0.Locals[0] || s1.Locals[1] != s0.Locals[1] || s1.LocalKey(1) != s0.LocalKey(1) {
+		t.Fatal("a changed local state must get a vector of its own that shares the other processes' states")
+	}
+	if s0.Local(0).(*counterState).N != 0 || s0.LocalKey(0) == s1.LocalKey(0) {
+		t.Fatal("the parent's local state or key changed")
+	}
+	s2, err := p.Execute(s1, p.Enabled(s1)[0]) // PING now only replies
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s2.Locals[0] != &s1.Locals[0] || s2.Msgs.Key() == s1.Msgs.Key() {
+		t.Fatalf("an unchanged local state must share the parent's vector and still get its own bag: %s -> %s", s1, s2)
+	}
+}

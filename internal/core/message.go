@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // ProcessID identifies a process of the system. Processes are numbered
@@ -33,11 +32,12 @@ func (NoPayload) Key() string { return "" }
 // channel c_{i,j} is recovered from the From/To fields, so a single global
 // bag of messages represents all channels.
 //
-// A Message is an immutable value once sent: Bag.Add caches its canonical
-// key inside the value, and every message handed out by a Bag, an Event or
-// a Ctx carries that cache. To change a field, build a new literal from the
-// fields you keep (Message{From: q, To: m.To, ...}) — assigning to a field
-// of a copy would leave the copy answering Key() with the original's key.
+// A Message is an immutable value once sent: a bag holds it as a shared
+// record with its canonical key cached inside, and every message handed out
+// by a Bag, an Event or a Ctx is a copy of that record, cache included. To
+// change a field, build a new literal from the fields you keep
+// (Message{From: q, To: m.To, ...}) — assigning to a field of a copy would
+// leave the copy answering Key() with the original's key.
 type Message struct {
 	From    ProcessID
 	To      ProcessID
@@ -53,21 +53,22 @@ func (m Message) Key() string {
 	if m.key != "" {
 		return m.key
 	}
-	var sb strings.Builder
-	sb.Grow(16 + len(m.Type))
-	sb.WriteString(strconv.Itoa(int(m.From)))
-	sb.WriteByte('>')
-	sb.WriteString(strconv.Itoa(int(m.To)))
-	sb.WriteByte(':')
-	sb.WriteString(m.Type)
+	// Assembled in a stack buffer, so the key is one allocation of exactly
+	// its length (a key longer than the buffer spills to the heap first).
+	var buf [96]byte
+	k := strconv.AppendInt(buf[:0], int64(m.From), 10)
+	k = append(k, '>')
+	k = strconv.AppendInt(k, int64(m.To), 10)
+	k = append(k, ':')
+	k = append(k, m.Type...)
 	if m.Payload != nil {
-		if k := m.Payload.Key(); k != "" {
-			sb.WriteByte('{')
-			sb.WriteString(k)
-			sb.WriteByte('}')
+		if pk := m.Payload.Key(); pk != "" {
+			k = append(k, '{')
+			k = append(k, pk...)
+			k = append(k, '}')
 		}
 	}
-	return sb.String()
+	return string(k)
 }
 
 // withKey returns m with its canonical key cached.
@@ -104,14 +105,14 @@ func sortByKey(msgs []Message) {
 
 // Senders returns the set of distinct senders of msgs, ascending.
 func Senders(msgs []Message) []ProcessID {
-	seen := make(map[ProcessID]bool, len(msgs))
-	var out []ProcessID
-	for _, m := range msgs {
-		if !seen[m.From] {
-			seen[m.From] = true
-			out = append(out, m.From)
+	if len(msgs) == 0 {
+		return nil
+	}
+	out := make([]ProcessID, 0, len(msgs))
+	for i := range msgs {
+		if j, ok := slices.BinarySearch(out, msgs[i].From); !ok {
+			out = slices.Insert(out, j, msgs[i].From)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

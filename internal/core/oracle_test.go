@@ -1,11 +1,15 @@
 package core_test
 
 // The map-based multiset and the recursive quorum enumeration core used
-// before Bag became a key-sorted slice, kept as test oracles: the model
-// test drives random operation sequences through both representations, the
-// differential test compares Enabled event by event on every reachable
-// state of real models. The oracles go through the exported API only and
-// never read a cached key (fresh rebuilds every message from its fields).
+// before Bag became a key-sorted slice, and the from-scratch state key and
+// clone-and-mutate successor construction it used before successors were
+// built from their parent's delta, kept as test oracles: the model test
+// drives random operation sequences through both bag representations, the
+// differential test compares Enabled event by event, and every state key
+// and successor, on every reachable state of real models. The oracles go
+// through the exported API only (ExecuteByCloning is the old Execute, in
+// export_test.go) and never read a cached key: fresh rebuilds every message
+// from its fields, freshStateKey asks every local state for its key again.
 
 import (
 	"fmt"
@@ -17,10 +21,13 @@ import (
 	"testing"
 
 	"mpbasset/internal/core"
+	"mpbasset/internal/explore"
 	"mpbasset/internal/mptest"
 	"mpbasset/internal/protocols/multicast"
 	"mpbasset/internal/protocols/paxos"
 	"mpbasset/internal/protocols/storage"
+	"mpbasset/internal/refine"
+	"mpbasset/internal/symmetry"
 )
 
 // fresh returns m as a new literal, so its Key is computed from the fields.
@@ -101,6 +108,21 @@ func (b *oracleBag) key() string {
 			sb.WriteString(strconv.Itoa(n))
 		}
 	}
+	return sb.String()
+}
+
+// freshStateKey is the old State.Key: every local state stringified again,
+// the bag key from the map-based multiset.
+func freshStateKey(s *core.State) string {
+	var sb strings.Builder
+	for i, l := range s.Locals {
+		if i > 0 {
+			sb.WriteByte('|')
+		}
+		sb.WriteString(l.Key())
+	}
+	sb.WriteByte('#')
+	sb.WriteString(oracleOf(s.Msgs).key())
 	return sb.String()
 }
 
@@ -358,6 +380,9 @@ func TestBagAgainstMapOracle(t *testing.T) {
 // at most maxStates of them, and requires Enabled to return the oracle's
 // event sequence — same transitions, same message sets, same order — and
 // StructurallyEnabled / MissingSenders to agree with the oracle's matching.
+// On the same walk, every state's Key and ComponentKeys must equal the
+// from-scratch encoding, and every successor the one the clone-and-mutate
+// Execute builds.
 func assertEnabledMatchesOracle(t *testing.T, p *core.Protocol, maxStates int) {
 	t.Helper()
 	init, err := p.InitialState()
@@ -369,6 +394,7 @@ func assertEnabledMatchesOracle(t *testing.T, p *core.Protocol, maxStates int) {
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
+		assertKeysMatchOracle(t, p, s)
 		got, want := p.Enabled(s), oracleEnabled(p, s)
 		if len(got) != len(want) {
 			t.Fatalf("%s at %s: %d events, oracle %d", p.Name, s, len(got), len(want))
@@ -400,6 +426,7 @@ func assertEnabledMatchesOracle(t *testing.T, p *core.Protocol, maxStates int) {
 			if err != nil {
 				t.Fatalf("%s: execute %s: %v", p.Name, ev, err)
 			}
+			assertSuccessorMatchesOracle(t, p, s, ev, ns)
 			if len(seen) < maxStates && !seen[ns.Key()] {
 				seen[ns.Key()] = true
 				queue = append(queue, ns)
@@ -407,6 +434,38 @@ func assertEnabledMatchesOracle(t *testing.T, p *core.Protocol, maxStates int) {
 		}
 	}
 	t.Logf("%s: %d states compared", p.Name, len(seen))
+}
+
+func assertKeysMatchOracle(t *testing.T, p *core.Protocol, s *core.State) {
+	t.Helper()
+	want := freshStateKey(s)
+	if got := s.Key(); got != want {
+		t.Fatalf("%s: Key\n got %s\nwant %s", p.Name, got, want)
+	}
+	locals, bag := s.ComponentKeys()
+	if got := strings.Join(locals, "|") + "#" + bag; got != want || len(locals) != len(s.Locals) {
+		t.Fatalf("%s: ComponentKeys give %d locals and\n     %s\nwant %s", p.Name, len(locals), got, want)
+	}
+	for i, l := range s.Locals {
+		if locals[i] != l.Key() || s.LocalKey(core.ProcessID(i)) != l.Key() {
+			t.Fatalf("%s at %s: cached key of process %d is %q / %q, its local state says %q", p.Name, s, i, locals[i], s.LocalKey(core.ProcessID(i)), l.Key())
+		}
+	}
+}
+
+func assertSuccessorMatchesOracle(t *testing.T, p *core.Protocol, s *core.State, ev core.Event, ns *core.State) {
+	t.Helper()
+	want, err := p.ExecuteByCloning(s, ev)
+	if err != nil {
+		t.Fatalf("%s: oracle execute %s: %v", p.Name, ev, err)
+	}
+	if ns.Key() != want.Key() || ns.Msgs.Key() != oracleOf(want.Msgs).key() {
+		t.Fatalf("%s at %s: %s leads to\n     %s\nwant %s", p.Name, s, ev, ns, want)
+	}
+	if ns.Msgs.Len() != want.Msgs.Len() || ns.Msgs.Distinct() != want.Msgs.Distinct() {
+		t.Fatalf("%s at %s: %s leaves %d messages (%d distinct), oracle %d (%d)", p.Name, s, ev,
+			ns.Msgs.Len(), ns.Msgs.Distinct(), want.Msgs.Len(), want.Msgs.Distinct())
+	}
 }
 
 func TestEnabledAgainstRecursiveOracleOnBundledModels(t *testing.T) {
@@ -511,5 +570,152 @@ func TestEnabledAgainstRecursiveOracleOnWideQuorums(t *testing.T) {
 	}
 	if got, want := fmt.Sprint(msgKeys(first.Msgs)), "[10>12:VOTE{1} 1>12:VOTE{1} 2>12:VOTE{1}]"; got != want {
 		t.Fatalf("first event's messages are %s, want %s (key order)", got, want)
+	}
+}
+
+// bounceProtocol exercises what the bundled models never do to a bag. The
+// hub (process 11 of 12) consumes one PING at a time and sends a PING with
+// the same payload to itself — when the consumed PING was its own, that is
+// the consumed message re-sent in the same event — plus two identical PONGs
+// to process 10, so every bag holds multiplicities above one: the initial
+// PINGs are doubled, each bounce tops up "11>11:PING{1}", and the PONGs
+// arrive in pairs. Senders 2, 10 and 11 sit on both sides of ten.
+func bounceProtocol(t *testing.T) *core.Protocol {
+	t.Helper()
+	const hub, sink = 11, 10
+	var initial []core.Message
+	for _, from := range []core.ProcessID{hub, sink, 2, hub, sink} {
+		initial = append(initial, core.Message{From: from, To: hub, Type: "PING", Payload: intPayload(1)})
+	}
+	p := &core.Protocol{
+		Name:            "bounce",
+		N:               hub + 1,
+		InitialMessages: initial,
+		Init: func() []core.LocalState {
+			ls := make([]core.LocalState, hub+1)
+			for i := range ls {
+				ls[i] = &voteState{}
+			}
+			return ls
+		},
+		Transitions: []*core.Transition{
+			{Name: "BOUNCE", Proc: hub, MsgType: "PING", Quorum: 1,
+				LocalGuard: func(l core.LocalState) bool { return l.(*voteState).done < 4 },
+				Apply: func(c *core.Ctx) {
+					c.Local.(*voteState).done++
+					c.Send(hub, "PING", c.Msgs[0].Payload)
+					c.Send(sink, "PONG", intPayload(1))
+					c.Send(sink, "PONG", intPayload(1))
+				}},
+			{Name: "PONG", Proc: sink, MsgType: "PONG", Quorum: 1, Peers: []core.ProcessID{hub},
+				Apply: func(c *core.Ctx) { c.Local.(*voteState).done++ }},
+		},
+	}
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestSuccessorsAgainstCloningOracleOnMultiplicities(t *testing.T) {
+	p := bounceProtocol(t)
+	assertEnabledMatchesOracle(t, p, 2000)
+
+	// And pin that the walk really meets the cases it is there for.
+	s, err := p.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var own core.Event
+	for _, ev := range p.Enabled(s) {
+		if ev.Msgs[0].From == ev.T.Proc {
+			own = ev
+		}
+	}
+	ns, err := p.Execute(s, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ns.Msgs.Key(), ";10>11:PING{1}*2;11>10:PONG{1}*2;11>11:PING{1}*2;2>11:PING{1}"; got != want {
+		t.Fatalf("bouncing the hub's own PING leaves %s, want %s", got, want)
+	}
+	bogus := core.Event{T: own.T, Msgs: []core.Message{{From: 3, To: 11, Type: "PING", Payload: intPayload(1)}}}
+	if _, err := p.Execute(ns, bogus); err == nil || !strings.Contains(err.Error(), "message 3>11:PING{1} not pending") {
+		t.Fatalf("consuming a message that is not pending: %v", err)
+	}
+}
+
+// rebuilt returns a state equal to s that shares nothing with it and
+// inherited nothing: cloned local states, whose keys NewState takes afresh,
+// and a bag filled from fresh messages.
+func rebuilt(s *core.State) *core.State {
+	locals := make([]core.LocalState, len(s.Locals))
+	for i, l := range s.Locals {
+		locals[i] = l.Clone()
+	}
+	bag := core.NewBag()
+	s.Msgs.Each(func(m core.Message, n int) {
+		for ; n > 0; n-- {
+			bag.Add(fresh(m))
+		}
+	})
+	return core.NewState(locals, bag)
+}
+
+// TestCanonsOnInheritedKeys checks the two Canon implementations that read
+// the cached component keys, on the benchmark's two symmetry models:
+// expanding the collapser's compressed key gives back the from-scratch
+// state key, and the symmetry canon of a state reached through Execute
+// equals that of its rebuilt twin.
+func TestCanonsOnInheritedKeys(t *testing.T) {
+	mc := multicast.Config{HonestReceivers: 3, HonestInitiators: 1, ByzantineReceivers: 1, ByzantineInitiators: 1}
+	mcModel, err := multicast.New(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mcModel, err = refine.Split(mcModel, refine.Combined); err != nil {
+		t.Fatal(err)
+	}
+	px := paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1}
+	pxModel, err := paxos.New(px)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		p     *core.Protocol
+		roles [][]core.ProcessID
+	}{{mcModel, mc.Roles()}, {pxModel, px.Roles()}} {
+		sym, err := symmetry.New(c.p.N, c.roles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll := explore.NewCollapser()
+		init, err := c.p.InitialState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{init.Key(): true}
+		queue := []*core.State{init}
+		for len(queue) > 0 {
+			s := queue[0]
+			queue = queue[1:]
+			full, err := coll.Expand(coll.Canon(s))
+			if err != nil || full != freshStateKey(s) {
+				t.Fatalf("%s: Expand(Canon(s)) = %q, %v\nwant %q", c.p.Name, full, err, freshStateKey(s))
+			}
+			if got, want := sym.Canon(s), sym.Canon(rebuilt(s)); got != want {
+				t.Fatalf("%s at %s: symmetry canon\n got %s\nwant %s", c.p.Name, s, got, want)
+			}
+			for _, ev := range c.p.Enabled(s) {
+				ns, err := c.p.Execute(s, ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(seen) < 1000 && !seen[ns.Key()] {
+					seen[ns.Key()] = true
+					queue = append(queue, ns)
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,22 @@
 package core
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // LocalState is the state of a single process. Implementations must provide
 // a canonical encoding and a deep clone; transitions mutate only the clone
 // handed to them by the execution engine.
+//
+// A local state is immutable once installed in a State (returned by Init,
+// or left in Ctx.Local when Apply returns): Key is taken once per installed
+// value and cached in the State, and every successor that leaves the process
+// alone inherits both the value and the cached key. A transition that
+// mutates a local state it does not own — one reached through Ctx.Global,
+// or through a pointer kept from an earlier Apply — makes every state that
+// shares the value answer Key with a stale encoding. Protocol.ValidateSends
+// detects it.
 type LocalState interface {
 	// Key returns a canonical, collision-free encoding of the local state.
 	Key() string
@@ -13,13 +25,22 @@ type LocalState interface {
 }
 
 // State is a global protocol state: one local state per process plus the
-// multiset of in-flight messages. States are immutable once constructed;
-// Protocol.Execute builds successor states copy-on-write.
+// multiset of in-flight messages. States are immutable once constructed and
+// are built by NewState and Protocol.Execute only; a successor shares with
+// its parent the local states, their cached keys and the message records
+// the event left alone — the whole Locals slice, if the executing process's
+// local state came out of the event with the key it went in with.
 type State struct {
 	Locals []LocalState
 	Msgs   *Bag
 
-	key string // lazily computed canonical encoding
+	// localKeys[i] is Locals[i].Key(). It is complete when the state is
+	// constructed and never written afterwards, so Execute may read it on
+	// one goroutine while another takes Key for the first time.
+	localKeys []string
+	keyOnce   sync.Once
+	key       string // canonical encoding, built by the first Key call
+	bag       Bag    // what Msgs points to in a state built by Execute
 }
 
 // NewState builds a state from locals and a bag. The arguments are owned by
@@ -28,27 +49,75 @@ func NewState(locals []LocalState, msgs *Bag) *State {
 	if msgs == nil {
 		msgs = NewBag()
 	}
-	return &State{Locals: locals, Msgs: msgs}
+	keys := make([]string, len(locals))
+	for i, l := range locals {
+		keys[i] = l.Key()
+	}
+	return &State{Locals: locals, Msgs: msgs, localKeys: keys}
 }
 
-// Key returns the canonical encoding of the state. Two states are equal iff
-// their keys are equal. The key is cached; State must not be mutated after
-// the first call.
-func (s *State) Key() string {
-	if s.key == "" {
-		var sb strings.Builder
-		sb.Grow(64)
-		for i, l := range s.Locals {
-			if i > 0 {
-				sb.WriteByte('|')
-			}
-			sb.WriteString(l.Key())
-		}
-		sb.WriteByte('#')
-		s.Msgs.appendKey(&sb)
-		s.key = sb.String()
+// inlineProcs is the largest system whose successors keep their local states
+// and keys inside the State's own allocation. The bundled models have six or
+// seven processes.
+const inlineProcs = 8
+
+// withLocal returns a state with s's local states, except that process p's
+// is l, whose key is k, and with an empty bag. If k is p's key in s, the
+// event left the process as it was and the new state shares s's local
+// states and keys outright; otherwise they are copied, into the same
+// allocation as the State itself up to inlineProcs processes.
+func (s *State) withLocal(p ProcessID, l LocalState, k string) *State {
+	if k == s.localKeys[p] {
+		return &State{Locals: s.Locals, localKeys: s.localKeys}
 	}
+	n := len(s.Locals)
+	var ns *State
+	if n > inlineProcs {
+		ns = &State{Locals: make([]LocalState, n), localKeys: make([]string, n)}
+	} else {
+		b := new(struct {
+			s      State
+			locals [inlineProcs]LocalState
+			keys   [inlineProcs]string
+		})
+		ns = &b.s
+		ns.Locals, ns.localKeys = b.locals[:n:n], b.keys[:n:n]
+	}
+	copy(ns.Locals, s.Locals)
+	copy(ns.localKeys, s.localKeys)
+	ns.Locals[p], ns.localKeys[p] = l, k
+	return ns
+}
+
+// Key returns the canonical encoding of the state: the local-state keys
+// joined by '|', then '#', then the bag key. Two states are equal iff their
+// keys are equal. The key is assembled once, from the cached local-state
+// and message keys, in one allocation of exactly its length; concurrent
+// first calls are safe.
+func (s *State) Key() string {
+	s.keyOnce.Do(s.buildKey)
 	return s.key
+}
+
+func (s *State) buildKey() {
+	n := 1 + s.Msgs.keyLen()
+	for i, k := range s.localKeys {
+		if i > 0 {
+			n++
+		}
+		n += len(k)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, k := range s.localKeys {
+		if i > 0 {
+			sb.WriteByte('|')
+		}
+		sb.WriteString(k)
+	}
+	sb.WriteByte('#')
+	s.Msgs.appendKey(&sb)
+	s.key = sb.String()
 }
 
 // ComponentKeys returns the canonical encoding of the state component by
@@ -57,31 +126,17 @@ func (s *State) Key() string {
 // ComponentKeys exposes the parts before they are flattened, so collapse
 // compression (explore.Collapser) can intern each component in a shared
 // table instead of re-splitting the joined string (local keys may contain
-// any byte, so splitting the flat key would be ambiguous).
+// any byte, so splitting the flat key would be ambiguous). locals is the
+// state's own cache, shared with other states: it must not be modified.
 func (s *State) ComponentKeys() (locals []string, bag string) {
-	locals = make([]string, len(s.Locals))
-	for i, l := range s.Locals {
-		locals[i] = l.Key()
-	}
-	return locals, s.Msgs.Key()
+	return s.localKeys, s.Msgs.Key()
 }
+
+// LocalKey returns Local(p).Key() from the state's cache.
+func (s *State) LocalKey(p ProcessID) string { return s.localKeys[p] }
 
 // Local returns the local state of process p.
 func (s *State) Local(p ProcessID) LocalState { return s.Locals[p] }
 
 // String returns the canonical key (useful in error messages and traces).
 func (s *State) String() string { return s.Key() }
-
-// GlobalView grants read access to the pre-state of every process. It is
-// available inside Apply only to transitions annotated with ReadsGlobal and
-// exists for specification instrumentation (history/observer variables), in
-// the spirit of the escape hatch the paper documents in its appendix
-// (footnote 7). Using it makes the transition conservatively dependent on
-// the processes it reads (see package por).
-type GlobalView struct {
-	locals []LocalState
-}
-
-// Local returns the pre-state local state of process p. The returned value
-// must not be mutated.
-func (v GlobalView) Local(p ProcessID) LocalState { return v.locals[p] }

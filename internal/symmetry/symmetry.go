@@ -121,11 +121,11 @@ func (c *Canonicalizer) encode(s *core.State, perm []core.ProcessID) string {
 		if i > 0 {
 			sb.WriteByte('|')
 		}
-		l := s.Locals[inv[i]]
-		if r, ok := l.(Remapper); ok {
-			l = r.Remap(f).(core.LocalState)
+		if r, ok := s.Locals[inv[i]].(Remapper); ok {
+			sb.WriteString(r.Remap(f).(core.LocalState).Key())
+		} else {
+			sb.WriteString(s.LocalKey(inv[i]))
 		}
-		sb.WriteString(l.Key())
 	}
 	sb.WriteByte('#')
 	keys := make([]string, 0, s.Msgs.Distinct())
