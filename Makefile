@@ -1,7 +1,8 @@
 # Development and CI entry points. `make ci` is what every CI matrix cell
-# runs: vet + build + full test suite, plus the race detector over the
-# packages with concurrent code (the parallel search engines, the
-# spill-to-disk store, and the core they drive) and the packages whose
+# runs: vet + build + full test suite (and its `long` half), plus the race
+# detector over the packages with concurrent code (the parallel search
+# engines, the spill-to-disk store, and the core they drive) and the
+# packages whose
 # tests exercise them (the POR ignoring-proviso matrix, the cyclic
 # protocol generators, the eval cells that run spill-backed parallel
 # searches, and the liveness layer whose oracle pins the parallel nested
@@ -18,7 +19,10 @@
 # then staticcheck when it is on PATH (CI installs it; mplint itself is
 # dependency-free and always runs). `make vet` runs plain `go vet` plus
 # `go vet -vettool` with mplint, so every CI cell enforces the contracts
-# with full build caching. `make lint-fix` inserts idempotent
+# with full build caching. `make test-long` runs the tests behind the
+# `long` build tag — the full-size versions of tests whose always-on slice
+# runs a smaller configuration (today the DPOR bundled-model sweeps, about
+# three minutes). `make lint-fix` inserts idempotent
 # //lint:<marker> TODO annotations above findings; `make lint-abs`
 # prints findings as absolute file:line:col paths for editor jump.
 # `make lint-sarif` writes SARIF 2.1.0 reports from both drivers
@@ -32,7 +36,7 @@ FUZZTIME ?= 30s
 BENCH_MAX_STATES ?= 20000
 BENCH_BUDGET ?= 30s
 
-.PHONY: all vet build test race fuzz bench bench-smoke bench-ci bench-baseline bench-e2e bench-compare bench-e2e-smoke lint lint-fix lint-abs lint-sarif mplint ci
+.PHONY: all vet build test test-long race fuzz bench bench-smoke bench-ci bench-baseline bench-e2e bench-compare bench-e2e-smoke lint lint-fix lint-abs lint-sarif mplint ci
 
 all: ci
 
@@ -52,6 +56,9 @@ build:
 
 test:
 	$(GO) test ./...
+
+test-long:
+	$(GO) test -tags long -run 'FullSize$$' ./internal/dpor/
 
 race:
 	$(GO) test -race ./internal/explore/ ./internal/core/ ./internal/por/ ./internal/mptest/ ./internal/eval/ ./internal/liveness/ ./internal/dpor/
@@ -134,4 +141,4 @@ lint-sarif: mplint
 	$(GO) run ./cmd/mplint -merge-sarif $$dir > mplint-vet.sarif; \
 	rm -rf $$dir
 
-ci: vet build test race
+ci: vet build test test-long race

@@ -309,132 +309,6 @@ func BenchmarkStoreTier(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelBFS compares the frontier-parallel BFS engine across
-// worker-pool sizes on the three bundled protocols, SPOR-reduced with the
-// sharded concurrent store — the configuration mpcheck -workers runs. All
-// worker counts explore the identical state space (the engine is
-// deterministic), so states/op is constant and time/op isolates the
-// parallel speedup. Wall-clock gains need GOMAXPROCS > 1; on a single
-// hardware thread the worker counts merely measure the engine's overhead.
-func BenchmarkParallelBFS(b *testing.B) {
-	targets := []struct {
-		name string
-		mk   func() (*core.Protocol, error)
-	}{
-		{"Paxos_231", func() (*core.Protocol, error) {
-			return paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1})
-		}},
-		{"Multicast_3111", func() (*core.Protocol, error) {
-			return multicast.New(multicast.Config{HonestReceivers: 3, HonestInitiators: 1, ByzantineReceivers: 1, ByzantineInitiators: 1})
-		}},
-		{"Storage_31", func() (*core.Protocol, error) {
-			return storage.New(storage.Config{Objects: 3, Readers: 1})
-		}},
-	}
-	for _, tg := range targets {
-		tg := tg
-		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			b.Run(fmt.Sprintf("%s/workers-%d", tg.name, workers), func(b *testing.B) {
-				p, err := tg.mk()
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp, err := por.NewExpander(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := explore.ParallelBFS(p, explore.Options{
-						Expander:    exp,
-						Workers:     workers,
-						Store:       explore.NewShardedHashStore(),
-						MaxDuration: benchBudget(),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(res.Stats.States), "states")
-					b.ReportMetric(float64(res.Stats.Events), "events")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelDFS compares the speculative parallel DFS engine across
-// worker-pool sizes and steal depths on the bundled protocols,
-// SPOR-reduced with the sharded concurrent store — the configuration
-// mpcheck -workers runs for the DFS searches. Every configuration commits
-// the identical state space in the identical order (the engine is
-// bit-identical to sequential DFS), so states/op is constant and time/op
-// isolates the speculation win: the commit walk spends its time on cheap
-// store probes while the workers precompute Enabled/Expand/Execute and the
-// invariant checks. Wall-clock gains need GOMAXPROCS > 1.
-func BenchmarkParallelDFS(b *testing.B) {
-	targets := []struct {
-		name string
-		mk   func() (*core.Protocol, error)
-	}{
-		{"Paxos_231", func() (*core.Protocol, error) {
-			return paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1})
-		}},
-		{"Multicast_3111", func() (*core.Protocol, error) {
-			return multicast.New(multicast.Config{HonestReceivers: 3, HonestInitiators: 1, ByzantineReceivers: 1, ByzantineInitiators: 1})
-		}},
-		{"Storage_31", func() (*core.Protocol, error) {
-			return storage.New(storage.Config{Objects: 3, Readers: 1})
-		}},
-	}
-	type cfg struct {
-		name       string
-		workers    int
-		stealDepth int
-	}
-	cfgs := []cfg{
-		{"seq", 0, 0}, // sequential DFS baseline
-		{"workers-1", 1, 0},
-		{"workers-4", 4, 0},
-		{"workers-8", 8, 0},
-		{"workers-4-steal-2", 4, 2},
-		{"workers-4-steal-32", 4, 32},
-	}
-	for _, tg := range targets {
-		for _, c := range cfgs {
-			b.Run(fmt.Sprintf("%s/%s", tg.name, c.name), func(b *testing.B) {
-				p, err := tg.mk()
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp, err := por.NewExpander(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				engine := explore.DFS
-				if c.workers > 0 {
-					engine = explore.ParallelDFS
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := engine(p, explore.Options{
-						Expander:    exp,
-						Workers:     c.workers,
-						StealDepth:  c.stealDepth,
-						Store:       explore.NewShardedHashStore(),
-						MaxDuration: benchBudget(),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(res.Stats.States), "states")
-					b.ReportMetric(float64(res.Stats.Events), "events")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkParallelDPOR compares the speculative parallel DPOR engine
 // across worker-pool sizes and steal depths on the bundled single-message
 // models — the configuration mpcheck -search dpor -workers runs. Every
@@ -500,86 +374,10 @@ func BenchmarkParallelDPOR(b *testing.B) {
 	}
 }
 
-// BenchmarkFrontierScheduler compares ParallelBFS's two intra-level
-// schedulers on skewed-frontier workloads — frontiers whose nodes differ
-// widely in expansion cost, where a single shared claim index serializes
-// the pool behind its cache line and per-key stripe locks dominate:
-//
-//   - single-index: the original scheduler (one atomic claim per node,
-//     one stripe lock per successor), kept as the baseline;
-//   - work-stealing: chunked claims over per-worker spans with half-range
-//     stealing, successor keys flushed through SeenBatch (one stripe lock
-//     per ~64 keys).
-//
-// Deep Paxos (thousands of BFS levels with narrow-then-wide frontiers and
-// quorum-enumeration spikes) and combined-split refined multicast (many
-// refined transitions of widely varying enumeration cost per node) are the
-// skew generators. Both schedulers explore the identical state space, so
-// states/op is constant and time/op isolates the scheduling cost; the
-// work-stealing win materializes at 4–8 workers on multi-core hardware
-// (GOMAXPROCS > 1 — on a single hardware thread both schedulers only
-// measure their bookkeeping overhead).
-func BenchmarkFrontierScheduler(b *testing.B) {
-	targets := []struct {
-		name string
-		mk   func() (*core.Protocol, error)
-	}{
-		{"DeepPaxos_231", func() (*core.Protocol, error) {
-			return paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1})
-		}},
-		{"RefinedMulticast_3111", func() (*core.Protocol, error) {
-			p, err := multicast.New(multicast.Config{
-				HonestReceivers: 3, HonestInitiators: 1,
-				ByzantineReceivers: 1, ByzantineInitiators: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return refine.Split(p, refine.Combined)
-		}},
-	}
-	scheds := []struct {
-		name  string
-		sched explore.Sched
-	}{
-		{"single-index", explore.SchedSingleIndex},
-		{"work-stealing", explore.SchedWorkStealing},
-	}
-	for _, tg := range targets {
-		p, err := tg.mk()
-		if err != nil {
-			b.Fatal(err)
-		}
-		exp, err := por.NewExpander(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range []int{4, 8} {
-			for _, sc := range scheds {
-				b.Run(fmt.Sprintf("%s/workers-%d/%s", tg.name, workers, sc.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						res, err := explore.ParallelBFS(p, explore.Options{
-							Expander:    exp,
-							Workers:     workers,
-							Sched:       sc.sched,
-							Store:       explore.NewShardedHashStore(),
-							MaxDuration: benchBudget(),
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(float64(res.Stats.States), "states")
-					}
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkSpillStoreOverhead quantifies the cost of the spill-to-disk
-// visited store against the in-memory baseline on the skewed deep
-// workloads of BenchmarkFrontierScheduler (deep Paxos, combined-split
-// refined multicast), SPOR-reduced with 4 frontier-parallel workers — the
+// visited store against the in-memory baseline on two skewed deep
+// workloads (deep Paxos, combined-split refined multicast), SPOR-reduced
+// with 4 frontier-parallel workers — the
 // configuration a beyond-RAM run would use. The budgets force different
 // spill pressure: "unbounded" never touches disk, "1MiB" spills the tail
 // of a large run, "64KiB" keeps almost the whole visited set on disk, so

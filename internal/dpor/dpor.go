@@ -106,18 +106,17 @@ type engine struct {
 	// pending is raceCheckPending's message-matching scratch.
 	pending []core.Message
 	res     explore.Result
-	// Speculation hooks, set only by ExploreParallel: memo is the table of
-	// worker-built expansion records push consumes; publish announces a
-	// newly scheduled backtrack point as a steal target; specHits counts
-	// consumed records (surfaced as the volatile Stats.SpeculationHits).
-	memo     *specMemo
-	publish  func(specTarget)
-	specHits int
+	// spec is the speculation kernel, set only by ExploreParallel: push
+	// takes worker-built expansion records from it, addBacktrack publishes
+	// newly scheduled backtrack points to it as steal targets. Nil runs the
+	// walk sequentially.
+	spec *explore.Speculation[specTarget, specRecord]
 }
 
 func (e *engine) run() (*explore.Result, error) {
 	lim := newLimits(e.opts)
 	defer func() { e.res.Stats.Duration = lim.elapsed() }()
+	defer e.spec.Close(&e.res.Stats)
 	e.sendClocks = make(map[string][][]int)
 
 	init, err := e.p.InitialState()
@@ -267,10 +266,8 @@ func (e *engine) backtrackDisabled(ev core.Event) {
 func (e *engine) push(s *core.State) {
 	e.res.Stats.States++
 	var rec *specRecord
-	if e.memo != nil {
-		if rec = e.memo.take(s.Key()); rec != nil {
-			e.specHits++
-		}
+	if e.spec != nil {
+		rec = e.spec.Take(s.Key())
 	}
 	var enabled []core.Event
 	if rec != nil {
@@ -357,8 +354,8 @@ func (e *engine) addBacktrack(g *frame, k string) {
 		return
 	}
 	g.backtrack[k] = true
-	if e.publish != nil && !g.done[k] {
-		e.publish(specTarget{src: g.state, ev: g.enabled[g.keys[k]]})
+	if e.spec != nil && !g.done[k] {
+		e.spec.Publish(specTarget{st: g.state, ev: g.enabled[g.keys[k]]})
 	}
 }
 

@@ -16,20 +16,21 @@ import (
 // checks the DPOR guarantees: identical verdicts and identical
 // deadlock-state sets (here: counts of distinct terminal states, obtained
 // from a stateful full search since stateless runs count revisits), with
-// DPOR never visiting more nodes than the full stateless search.
-func compare(t *testing.T, p *core.Protocol) {
+// DPOR never visiting more nodes than the full stateless search. opts bounds
+// every run.
+func compare(t *testing.T, p *core.Protocol, opts explore.Options) {
 	t.Helper()
-	full, err := explore.StatelessDFS(p, explore.Options{MaxDuration: time.Minute})
+	full, err := explore.StatelessDFS(p, opts)
 	if err != nil {
 		t.Fatalf("%s stateless: %v", p.Name, err)
 	}
-	red, err := Explore(p, explore.Options{MaxDuration: time.Minute})
+	red, err := Explore(p, opts)
 	if err != nil {
 		t.Fatalf("%s dpor: %v", p.Name, err)
 	}
 	if full.Verdict == explore.VerdictLimit {
-		// The unreduced stateless baseline timed out (revisit explosion —
-		// the very thing Table I shows); nothing to compare against.
+		// The unreduced stateless baseline hit its bound (revisit explosion
+		// — the very thing Table I shows); nothing to compare against.
 		return
 	}
 	if full.Verdict != red.Verdict {
@@ -45,7 +46,7 @@ func compare(t *testing.T, p *core.Protocol) {
 	}
 	// Deadlock preservation: compare distinct terminal states against a
 	// stateful reference.
-	ref, err := explore.DFS(p, explore.Options{MaxDuration: time.Minute})
+	ref, err := explore.DFS(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestDPORMatchesStatelessOnRandomProtocols(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compare(t, p)
+			compare(t, p, explore.Options{MaxDuration: time.Minute})
 		}
 	}
 }
@@ -80,51 +81,72 @@ func TestDPORRejectsQuorumModels(t *testing.T) {
 	}
 }
 
-func TestDPOROnBundledSingleModels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bundled DPOR sweep is slow")
+// The bundled-model tests run in two sizes. The always-on slice uses the
+// (2,1) storage model, whose full stateless search is 27k nodes, and bounds
+// every run by alwaysOn's MaxStates — a deterministic cut no run here
+// reaches. The full-size versions (long_test.go, build tag long, `make
+// test-long`) keep the (3,1) model, whose stateless and sleep-free searches
+// outlast a one-minute wall-clock budget.
+var (
+	smallStorage = storage.Config{Objects: 2, Readers: 1, Model: storage.ModelSingle, Writes: 1}
+	alwaysOn     = explore.Options{MaxStates: 1_000_000}
+)
+
+func newStorage(t *testing.T, cfg storage.Config) *core.Protocol {
+	t.Helper()
+	p, err := storage.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
+}
+
+// compareBundledSingleModels runs compare on the bundled single-message
+// models, with the storage model at the given size.
+func compareBundledSingleModels(t *testing.T, st storage.Config, opts explore.Options) {
+	t.Helper()
 	px, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compare(t, px)
+	compare(t, px, opts)
 	fp, err := paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle, Faulty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compare(t, fp)
+	compare(t, fp, opts)
 	mc, err := multicast.New(multicast.Config{HonestReceivers: 2, HonestInitiators: 1, ByzantineInitiators: 1, Model: multicast.ModelSingle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compare(t, mc)
-	st, err := storage.New(storage.Config{Objects: 3, Readers: 1, Model: storage.ModelSingle, Writes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare(t, st)
+	compare(t, mc, opts)
+	compare(t, newStorage(t, st), opts)
 }
 
-func TestDPORReducesWork(t *testing.T) {
-	// On genuinely concurrent protocols DPOR should visit strictly fewer
-	// nodes than full stateless search; assert it on a bundled model where
-	// the effect is unambiguous.
-	p, err := storage.New(storage.Config{Objects: 3, Readers: 1, Model: storage.ModelSingle, Writes: 1})
+func TestDPOROnBundledSingleModels(t *testing.T) {
+	compareBundledSingleModels(t, smallStorage, alwaysOn)
+}
+
+// dporReducesWork asserts that on a genuinely concurrent protocol DPOR
+// visits strictly fewer nodes than full stateless search.
+func dporReducesWork(t *testing.T, p *core.Protocol, opts explore.Options) {
+	t.Helper()
+	full, err := explore.StatelessDFS(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := explore.StatelessDFS(p, explore.Options{MaxDuration: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, err := Explore(p, explore.Options{MaxDuration: time.Minute})
+	red, err := Explore(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if red.Stats.States >= full.Stats.States {
 		t.Errorf("DPOR visited %d nodes, full stateless %d — no reduction", red.Stats.States, full.Stats.States)
 	}
+}
+
+func TestDPORReducesWork(t *testing.T) {
+	// A bundled model where the effect is unambiguous.
+	dporReducesWork(t, newStorage(t, smallStorage), alwaysOn)
 }
 
 func TestSleepSetsPreserveResults(t *testing.T) {
@@ -152,20 +174,23 @@ func TestSleepSetsPreserveResults(t *testing.T) {
 	}
 }
 
-func TestSleepSetsReduceVisits(t *testing.T) {
-	p, err := storage.New(storage.Config{Objects: 3, Readers: 1, Model: storage.ModelSingle, Writes: 1})
+// sleepSetsReduceVisits asserts that sleep sets strictly reduce DPOR's node
+// visits on p.
+func sleepSetsReduceVisits(t *testing.T, p *core.Protocol, opts explore.Options) {
+	t.Helper()
+	with, err := ExploreWith(p, opts, Config{SleepSets: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := ExploreWith(p, explore.Options{MaxDuration: time.Minute}, Config{SleepSets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := ExploreWith(p, explore.Options{MaxDuration: time.Minute}, Config{})
+	without, err := ExploreWith(p, opts, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if with.Stats.States >= without.Stats.States {
 		t.Errorf("sleep sets gave no reduction: %d vs %d", with.Stats.States, without.Stats.States)
 	}
+}
+
+func TestSleepSetsReduceVisits(t *testing.T) {
+	sleepSetsReduceVisits(t, newStorage(t, smallStorage), alwaysOn)
 }

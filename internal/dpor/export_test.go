@@ -6,7 +6,7 @@ import "mpbasset/internal/core"
 // external tests: the one the sequential walk runs inline, and the one a
 // speculative expansion record of the same state memoizes per enabled event.
 func SentKeys(p *core.Protocol, s *core.State) (inline, speculative [][]string, err error) {
-	rec := specBuild(p, s)
+	rec, _ := specBuild(p, s)
 	for i, ev := range rec.enabled {
 		ns, err := p.Execute(s, ev)
 		if err != nil {

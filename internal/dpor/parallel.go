@@ -1,48 +1,24 @@
 package dpor
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"mpbasset/internal/core"
 	"mpbasset/internal/explore"
 )
 
-// ExploreParallel runs the DPOR-reduced stateless search with a worker
-// pool, sleep sets enabled: Options.Workers speculative workers (0 or
-// negative means runtime.GOMAXPROCS(0)) claim pending backtrack points —
-// events the commit walk has scheduled at stack frames it has not returned
-// to yet — and expand the subtrees below them ahead of time, while a single
-// commit walk replays sequential DPOR verbatim. Verdicts, statistics
-// (except the volatile Duration/speculation counters) and counterexample
-// traces are bit-identical to Explore for any worker count.
+// ExploreParallel runs Explore's walk with the speculation kernel attached
+// (see explore.Speculation), sleep sets enabled: verdicts, statistics and
+// counterexample traces are bit-identical to Explore for any worker count.
 //
-// Work sharing: every backtrack point the walk schedules at a
-// not-yet-finished frame — race-triggered points from updateRaces, and
-// disabled-event points from backtrackDisabled — is published as a steal
-// target. An idle worker pops the most recently published point, executes
-// it against its (immutable) source state and explores up to
-// Options.StealDepth events below it (bounded batch per steal), memoizing
-// one expansion record per state: the enabled events and, per event, the
-// executed successor, its invariant-check result and the message keys it
-// sent. Records are pure functions of the state (see specRecord), so they
-// can be computed in any order by any worker.
-//
-// Deterministic commit: the walk is sequential DPOR verbatim — same stack,
-// same backtrack/sleep/vector-clock bookkeeping, same limit checks —
-// except that pushing a state first consults the memo table and an
-// execution whose frame holds a record reuses the memoized successor
-// instead of re-executing. Because a record equals what the inline
-// computation would produce, the committed Verdict, Stats and Trace are
-// bit-identical to Explore. All path-dependent DPOR structure (clocks,
-// races, backtrack and sleep sets) is re-derived by the walk itself, so
-// speculation can never be stale in a way that changes results — a record
-// is never wrong, only possibly missing.
-//
-// Soundness requires the same read-only contract as the other parallel
-// engines: the protocol's Enabled/Execute/CheckInvariant must be safe for
-// concurrent use and must not mutate shared state.
+// What is stolen are pending backtrack points: every event the walk
+// schedules at a not-yet-finished frame — race-triggered points from
+// updateRaces, and disabled-event points from backtrackDisabled — is
+// published as a steal target. A speculator executes it against its
+// (immutable) source state and memoizes, for the states below it, the
+// enabled events and per event the executed successor, its invariant-check
+// result and the message keys it sent (see specRecord). A frame pushed with
+// a record replays the memoized successors instead of re-executing; all
+// path-dependent DPOR structure (clocks, races, backtrack and sleep sets)
+// is re-derived by the walk itself.
 func ExploreParallel(p *core.Protocol, opts explore.Options) (*explore.Result, error) {
 	return ExploreParallelWith(p, opts, Config{SleepSets: true})
 }
@@ -55,93 +31,18 @@ func ExploreParallelWith(p *core.Protocol, opts explore.Options, cfg Config) (*e
 		return nil, err
 	}
 	e := &engine{p: p, a: a, opts: opts, cfg: cfg}
-
-	var (
-		memo       specMemo
-		queue      = newSpecQueue()
-		stop       atomic.Bool
-		wg         sync.WaitGroup
-		specVisits atomic.Int64
-	)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	depthBudget := opts.StealDepth
-	if depthBudget <= 0 {
-		depthBudget = specStealDepth
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			speculate(p, &memo, queue, &stop, &specVisits, depthBudget)
-		}()
-	}
-
-	e.memo = &memo
-	e.publish = queue.publish
-	res, runErr := e.run()
-	stop.Store(true)
-	queue.close()
-	wg.Wait()
-	if res != nil {
-		res.Stats.SpeculatedVisits = int(specVisits.Load())
-		res.Stats.SpeculationHits = e.specHits
-	}
-	return res, runErr
-}
-
-// speculate is one worker's loop: pop a backtrack point, execute it, and
-// memoize expansion records for the subtree below it, depth-first, until
-// the per-steal budget, the depth bound, the memo capacity or shutdown
-// stops it. An Execute failure on the stolen edge just drops the target —
-// the walk surfaces the error itself if it ever commits that edge.
-func speculate(p *core.Protocol, memo *specMemo, queue *specQueue, stop *atomic.Bool, visits *atomic.Int64, depthBudget int) {
-	type specNode struct {
-		st    *core.State
-		key   string
-		depth int
-	}
-	nodes := make([]specNode, 0, 64)
-	for {
-		tgt, ok := queue.pop()
-		if !ok {
-			return
-		}
-		ns, err := p.Execute(tgt.src, tgt.ev)
-		if err != nil {
-			continue
-		}
-		nodes = append(nodes[:0], specNode{st: ns, key: ns.Key()})
-		budget := specStealBudget
-		for len(nodes) > 0 && budget > 0 && !stop.Load() && !memo.full() {
-			n := nodes[len(nodes)-1]
-			nodes = nodes[:len(nodes)-1]
-			if memo.has(n.key) {
-				continue
+	e.spec = explore.Speculate(opts, explore.SpecEngine[specTarget, specRecord]{
+		// An Execute failure on the stolen edge just drops the target — the
+		// walk surfaces the error itself if it ever commits that edge.
+		Open: func(t specTarget) (specTarget, bool) {
+			ns, err := p.Execute(t.st, t.ev)
+			if err != nil {
+				return specTarget{}, false
 			}
-			rec := specBuild(p, n.st)
-			switch memo.put(n.key, rec) {
-			case specStored:
-				visits.Add(1)
-			case specDup:
-				continue
-			case specFull:
-				nodes = nodes[:0]
-				continue
-			}
-			budget--
-			if n.depth+1 > depthBudget {
-				continue
-			}
-			for i := len(rec.succs) - 1; i >= 0; i-- {
-				sc := &rec.succs[i]
-				if sc.err != nil || sc.verr != nil {
-					continue
-				}
-				nodes = append(nodes, specNode{st: sc.st, key: sc.key, depth: n.depth + 1})
-			}
-		}
-	}
+			return specTarget{st: ns, key: ns.Key()}, true
+		},
+		Key:   func(t specTarget) string { return t.key },
+		Build: func(t specTarget) (*specRecord, []specTarget) { return specBuild(p, t.st) },
+	})
+	return e.run()
 }

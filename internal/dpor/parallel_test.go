@@ -33,9 +33,9 @@ var parallelWorkerCounts = []int{1, 2, 4, 8}
 // VerdictLimit run must be bit-identical — whereas a wall-clock cap cuts
 // each run wherever the scheduler happened to be, and the residual stats
 // would diverge spuriously.
-func assertBitIdentical(t *testing.T, p *core.Protocol, cfg dpor.Config) {
+func assertBitIdentical(t *testing.T, p *core.Protocol, cfg dpor.Config, maxStates int) {
 	t.Helper()
-	opts := explore.Options{MaxStates: 300000}
+	opts := explore.Options{MaxStates: maxStates}
 	seq, err := dpor.ExploreWith(p, opts, cfg)
 	if err != nil {
 		t.Fatalf("%s sequential (sleep=%v): %v", p.Name, cfg.SleepSets, err)
@@ -124,32 +124,46 @@ func TestParallelDPORMatchesSequentialOnRandomProtocols(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertBitIdentical(t, p, dpor.Config{SleepSets: true})
-			assertBitIdentical(t, p, dpor.Config{})
+			assertBitIdentical(t, p, dpor.Config{SleepSets: true}, 300000)
+			assertBitIdentical(t, p, dpor.Config{}, 300000)
 		}
 	}
 }
 
-func TestParallelDPOROnBundledSingleModels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bundled parallel-DPOR sweep is slow")
-	}
+// bundledSingleModels builds the bundled single-message models, with the
+// storage model at the given number of objects.
+func bundledSingleModels(t *testing.T, objects int) (px, mc, st *core.Protocol) {
+	t.Helper()
 	px, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := multicast.New(multicast.Config{HonestReceivers: 2, HonestInitiators: 1, ByzantineInitiators: 1, Model: multicast.ModelSingle})
+	mc, err = multicast.New(multicast.Config{HonestReceivers: 2, HonestInitiators: 1, ByzantineInitiators: 1, Model: multicast.ModelSingle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := storage.New(storage.Config{Objects: 3, Readers: 1, Model: storage.ModelSingle, Writes: 1})
+	st, err = storage.New(storage.Config{Objects: objects, Readers: 1, Model: storage.ModelSingle, Writes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return px, mc, st
+}
+
+// TestParallelDPOROnBundledSingleModels is the always-on slice of the
+// bundled sweep: Paxos, multicast and the (2,1) storage model run to
+// exhaustion, and the (3,1) storage model — 171k nodes with sleep sets,
+// millions without — is cut at 30k states, which keeps the truncated,
+// VerdictLimit side of the guarantee covered. The full-size sweep is
+// TestParallelDPOROnBundledSingleModelsFullSize (build tag long).
+func TestParallelDPOROnBundledSingleModels(t *testing.T) {
+	px, mc, st := bundledSingleModels(t, 2)
 	for _, p := range []*core.Protocol{px, mc, st} {
-		assertBitIdentical(t, p, dpor.Config{SleepSets: true})
-		assertBitIdentical(t, p, dpor.Config{})
+		assertBitIdentical(t, p, dpor.Config{SleepSets: true}, 300000)
+		assertBitIdentical(t, p, dpor.Config{}, 300000)
 	}
+	_, _, big := bundledSingleModels(t, 3)
+	assertBitIdentical(t, big, dpor.Config{SleepSets: true}, 30000)
+	assertBitIdentical(t, big, dpor.Config{}, 30000)
 }
 
 // TestParallelDPORCounterexample pins the violating path: on the paper's
@@ -162,7 +176,7 @@ func TestParallelDPORCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, p, dpor.Config{SleepSets: true})
+	assertBitIdentical(t, p, dpor.Config{SleepSets: true}, 300000)
 	res, err := dpor.Explore(p, explore.Options{MaxDuration: time.Minute})
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func ReadReportFile(path string) (Report, error) {
 
 // DeterministicStatsFields lists the explore.Stats fields covered by the
 // engines' determinism guarantee: for a fixed protocol, options and
-// reduction, every engine, worker count, scheduler and store tier must
+// reduction, every engine, worker count and store tier must
 // report bit-identical values. The differential suites compare these
 // fields directly; CompareReports gates the States/Events subset that
 // mpbench serializes.
@@ -91,7 +91,7 @@ var DeterministicStatsFields = []string{
 // VolatileStatsFields lists the explore.Stats fields explicitly excluded
 // from the determinism guarantee — wall-clock time, the spill tier's
 // storage-effort counters, whose values depend on insert timing, the
-// parallel-DPOR speculation counters, whose values depend on worker
+// speculation kernel's counters, whose values depend on worker
 // scheduling, and the lossy bitstate coverage figures, whose values depend
 // on which colliding state reached the store first — and therefore masked
 // before any cross-run or cross-engine comparison.

@@ -9,8 +9,8 @@
 // The package is part of the determinism contract (it appears in the lint
 // suite's deterministic allowlist) and is also the contract's arbiter: it
 // owns the canonical partition of result statistics into
-// DeterministicStatsFields — bit-identical across engines, worker counts,
-// schedulers and exact store tiers, enforced cell-by-cell by the baseline
+// DeterministicStatsFields — bit-identical across engines, worker counts
+// and exact store tiers, enforced cell-by-cell by the baseline
 // gate in compare.go — and VolatileStatsFields, the timing, spill and
 // bitstate-coverage numbers that legitimately drift. The statsmask lint
 // analyzer cross-checks that partition against explore.Stats, so a new

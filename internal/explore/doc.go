@@ -28,12 +28,34 @@
 // proviso included, which is evaluated after the level barrier against the
 // level-start visited snapshot rather than the live concurrent store.
 //
-// ParallelDFS scales the stateful DFS the same way along the other search
-// order: workers steal unexplored sibling subtrees from the deep end of
-// the search stack and speculatively memoize their expansions, while a
-// single commit walk replays the exact sequential DFS order (stack proviso
-// included), so results are bit-identical to DFS for any worker count and
-// steal depth.
+// # One walk per engine family, one speculation kernel
+//
+// The depth-first engines come in sequential/parallel pairs — DFS and
+// ParallelDFS, NDFS and ParallelNDFS, dpor.Explore and
+// dpor.ExploreParallel — and each pair is one walk: a single function (dfs,
+// ndfs, dpor's engine.run) that decides everything observable and asks an
+// optional *Speculation for a state's expansion record before computing it
+// inline. The sequential entry point passes nil; the parallel one starts
+// the kernel (Speculate) and passes it. There is no second search loop.
+//
+// The kernel (spec.go) is the whole speculation side, written once: the
+// striped memo of expansion records, the bounded deep-end steal queue, the
+// worker pool, the budgeted depth-first steal loop, Take/Publish/Close and
+// the two volatile counters Stats.SpeculatedVisits/SpeculationHits. An
+// engine supplies a SpecEngine — its node and record types and the four
+// things the engines genuinely disagree on: how a stolen target becomes a
+// node (DPOR executes the stolen backtrack event; for DFS and NDFS a
+// pending sibling already is one), the node's memo key, an optional
+// "already committed" store probe, and Build, which computes a node's
+// record and its child nodes. The engine's side of the contract is that
+// Build is a pure function of the node; the kernel's is that a record is
+// built from its node alone — on any worker, in any order — memoized under
+// that node's key (the first one wins) and handed to the walk at most
+// once. Records are therefore never wrong, only possibly missing, and the
+// committed verdict, deterministic statistics and traces are bit-identical
+// to the sequential engine for any worker count and steal depth (see
+// Speculation for the full contract). The stack proviso, visit order,
+// limits and DPOR's clocks never leave the walk.
 //
 // NDFS lifts the stateful DFS to liveness checking (Options.Property): a
 // blue search explores the product of the state graph and the property
@@ -44,14 +66,12 @@
 // doubles as the cycle-awareness the nested search needs, so a reducing
 // expander remains sound; weak fairness (Property.WeakFair) forces full
 // expansion, since the fairness monitor observes every transition.
-// ParallelNDFS parallelizes the blue search with the ParallelDFS
-// speculation machinery and keeps the red searches on the commit walk, so
-// verdicts, statistics and lasso traces are bit-identical to NDFS for any
-// worker count and steal depth; both engines are differentially tested
+// ParallelNDFS speculates on the blue search only and keeps the red
+// searches on the commit walk; both engines are differentially tested
 // against the explicit Büchi-product + Tarjan-SCC oracle in package
 // liveness.
 //
-// Both parallel engines inherit their soundness conditions from the hooks
+// All parallel engines inherit their soundness conditions from the hooks
 // they parallelize: the protocol's Enabled/Execute/CheckInvariant, the
 // Canon function and the Expander must be stateless or read-only (true of
 // everything in this repository).

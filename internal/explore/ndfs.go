@@ -2,8 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"mpbasset/internal/core"
 	"mpbasset/internal/liveness"
@@ -30,7 +28,7 @@ type nSucc struct {
 
 // nRecord is the expansion record of one product state: everything the
 // blue search needs to replay the expansion exactly as the sequential
-// engine computes it. Like pdRecord, records are pure functions of the
+// engine computes it. Like dfsRecord, records are pure functions of the
 // product state, which is what makes ParallelNDFS's out-of-order
 // speculation sound.
 type nRecord struct {
@@ -124,27 +122,6 @@ type nFrame struct {
 	next      int
 }
 
-// nTarget is one ParallelNDFS steal target: an unexplored pending sibling
-// of a live blue frame.
-type nTarget struct {
-	st   *core.State
-	copy int
-	pkey string
-}
-
-// nSpec is ParallelNDFS's speculation hookup into the shared ndfs core; a
-// nil nSpec runs the engine sequentially.
-type nSpec struct {
-	// take consumes the speculative expansion record for a product key.
-	take func(pkey string) *nRecord
-	// publish offers a new frame's pending siblings (succs[1:]) as steal
-	// targets.
-	publish func(succs []nSucc)
-	// close stops the speculators and joins them; ndfs defers it so the
-	// workers are gone before the engine's own deferred bookkeeping runs.
-	close func()
-}
-
 // NDFS checks a Büchi liveness property (Options.Property) with the
 // classic nested depth-first search: the blue (outer) DFS explores the
 // product of the state graph with the property's fairness monitor, and at
@@ -187,7 +164,7 @@ func ndfsCheckOpts(opts Options) error {
 // nested search, with speculative expansion records taken from spec when
 // one is attached. The commit path is identical either way, so the two
 // entry points produce bit-identical verdicts, statistics and lassos.
-func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Result, err error) {
+func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, nRecord]) (result *Result, err error) {
 	var (
 		prop    = opts.Property
 		res     Result
@@ -211,11 +188,21 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Res
 	reducing := !full
 	// succMemo records the blue search's post-proviso event choice per
 	// expanded product state, so the red search replays the identical
-	// reduced graph (nil entries mark deadlocked states; the red sweep
-	// synthesizes the same stutter step).
-	var succMemo map[string][]core.Event
+	// reduced graph (empty choices mark deadlocked states; the red sweep
+	// synthesizes the same stutter step). Under a caller's Canon the events
+	// are replayed on src, the state they were enabled in: the red sweep may
+	// reach the product state through another representative of its
+	// symmetry orbit, in which those very messages need not be pending.
+	// Under the default canon equal keys are equal states, so src stays nil
+	// — the red sweep's own state serves, and the visited states are not
+	// kept alive.
+	type blueChoice struct {
+		src *core.State
+		evs []core.Event
+	}
+	var succMemo map[string]blueChoice
 	if reducing {
-		succMemo = make(map[string][]core.Event)
+		succMemo = make(map[string]blueChoice)
 	}
 	defer func() {
 		res.Stats.Duration = lim.elapsed()
@@ -224,11 +211,9 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Res
 			result, err = nil, serr
 		}
 	}()
-	if spec != nil {
-		// Runs first (LIFO): the speculators are joined before the stats
-		// defer above reads the store.
-		defer spec.close()
-	}
+	// Runs first (LIFO): the speculators are joined before the stats defer
+	// above reads the store.
+	defer spec.Close(&res.Stats)
 	init, err := p.InitialState()
 	if err != nil {
 		return nil, err
@@ -239,10 +224,7 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Res
 	// computation otherwise, then the stack proviso and the expansion
 	// statistics — deterministically in either case.
 	expand := func(s *core.State, pkey string, copy int, accepting bool) ([]nSucc, error) {
-		var rec *nRecord
-		if spec != nil {
-			rec = spec.take(pkey)
-		}
+		rec := spec.Take(pkey)
 		if rec == nil {
 			rec = nBuild(p, prop, s, copy, exp, canon, sinfo)
 		}
@@ -252,7 +234,7 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Res
 		if rec.deadlock {
 			res.Stats.Deadlocks++
 			if reducing {
-				succMemo[pkey] = nil
+				succMemo[pkey] = blueChoice{}
 			}
 			return rec.succs, nil
 		}
@@ -283,7 +265,11 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Res
 			for i := range succs {
 				evs[i] = succs[i].ev
 			}
-			succMemo[pkey] = evs
+			blue := blueChoice{evs: evs}
+			if opts.Canon != nil {
+				blue.src = rec.src
+			}
+			succMemo[pkey] = blue
 		}
 		return succs, nil
 	}
@@ -299,8 +285,10 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Res
 			skey: sc.skey, pkey: sc.pkey, copy: sc.copy,
 			via: sc.ev, stutter: sc.stutter, accepting: accepting, succs: succs,
 		})
-		if spec != nil && len(succs) > 1 {
-			spec.publish(succs)
+		if len(succs) > 1 {
+			// The pending siblings: everything after the child the walk
+			// enters next.
+			spec.Publish(succs[1:]...)
 		}
 		return nil
 	}
@@ -314,15 +302,18 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Res
 	redExpand := func(s *core.State, skey, pkey string, copy int) ([]nSucc, error) {
 		accepting := copy == 0 && prop.Accept(s)
 		if reducing {
-			evs, ok := succMemo[pkey]
+			blue, ok := succMemo[pkey]
 			if !ok {
 				return nil, nil
 			}
-			if len(evs) == 0 {
+			if len(blue.evs) == 0 {
 				ncopy := prop.Next(copy, p.N, accepting, -1, func(int) bool { return false })
 				return []nSucc{{st: s, skey: skey, copy: ncopy, pkey: liveness.ProductKey(skey, ncopy), stutter: true}}, nil
 			}
-			return nExecAll(p, prop, s, copy, accepting, evs, evs, canon)
+			if blue.src != nil {
+				s = blue.src
+			}
+			return nExecAll(p, prop, s, copy, accepting, blue.evs, blue.evs, canon)
 		}
 		enabled := p.Enabled(s)
 		if len(enabled) == 0 {
@@ -491,21 +482,18 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *nSpec) (result *Res
 	return &res, nil
 }
 
-// ParallelNDFS runs NDFS with ParallelDFS's speculative-workers +
-// sequential-commit-walk architecture: Options.Workers speculators
-// (default runtime.GOMAXPROCS(0)) steal unexplored blue sibling subtrees
-// from the deep end of the blue stack and precompute product expansion
-// records, while the single blue/red commit walk replays the exact
-// sequential NDFS order — verdicts, statistics (minus Duration and the
-// spill counters) and lasso traces are bit-identical to NDFS for any
-// worker count, on any store. The red sweep is untouched by speculation:
-// it recomputes successors on the commit goroutine alone, so its marks and
+// ParallelNDFS runs NDFS's walk with the speculation kernel attached (see
+// Speculation): workers steal the pending siblings of the blue frames and
+// memoize their subtrees' product expansion records, so verdicts,
+// statistics and lasso traces are bit-identical to NDFS for any worker
+// count, on any store. The red sweep is untouched by speculation: it
+// recomputes successors on the commit goroutine alone, so its marks and
 // order are sequential by construction.
 //
-// The soundness contract matches ParallelDFS: Enabled/Execute, the Accept
-// predicate, the Canon function and the Expander must be pure and safe for
-// concurrent use, and the store must tolerate concurrent Has probes during
-// Seen inserts (Options.concurrentStore wraps non-concurrent stores).
+// On top of the kernel's contract the Accept predicate must be pure and
+// safe for concurrent use, and the store must tolerate concurrent Has
+// probes during Seen inserts (Options.concurrentStore wraps non-concurrent
+// stores).
 func ParallelNDFS(p *core.Protocol, opts Options) (*Result, error) {
 	if err := ndfsCheckOpts(opts); err != nil {
 		return nil, err
@@ -515,84 +503,16 @@ func ParallelNDFS(p *core.Protocol, opts Options) (*Result, error) {
 		store = opts.concurrentStore()
 		canon = opts.canon()
 		exp   = opts.expander()
-		memo  specMemo[nRecord]
-		queue = newSpecQueue[nTarget]()
-		stop  atomic.Bool
-		wg    sync.WaitGroup
-		probe func(string) bool
 	)
 	if prop.WeakFair {
 		exp = FullExpander{} // same C2-under-fairness rule as the commit walk
 	}
-	if hs, ok := store.(HasStore); ok {
-		probe = hs.Has
-	}
-	depthBudget := opts.stealDepth()
-	workers := opts.workers()
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			type specNode struct {
-				st    *core.State
-				copy  int
-				pkey  string
-				depth int
-			}
-			nodes := make([]specNode, 0, 64)
-			for {
-				tgt, ok := queue.pop()
-				if !ok {
-					return
-				}
-				nodes = append(nodes[:0], specNode{st: tgt.st, copy: tgt.copy, pkey: tgt.pkey})
-				budget := pdStealBudget
-				for len(nodes) > 0 && budget > 0 && !stop.Load() && !memo.full() {
-					n := nodes[len(nodes)-1]
-					nodes = nodes[:len(nodes)-1]
-					if memo.has(n.pkey) || (probe != nil && probe(n.pkey)) {
-						continue
-					}
-					rec := nBuild(p, prop, n.st, n.copy, exp, canon, noProviso{})
-					switch memo.put(n.pkey, rec) {
-					case pdStored:
-						// fresh entry: fall through to expand it below
-					case pdDup:
-						continue
-					case pdFull:
-						nodes = nodes[:0]
-						continue
-					}
-					budget--
-					if rec.err != nil || n.depth+1 > depthBudget {
-						continue
-					}
-					for i := len(rec.succs) - 1; i >= 0; i-- {
-						sc := &rec.succs[i]
-						nodes = append(nodes, specNode{st: sc.st, copy: sc.copy, pkey: sc.pkey, depth: n.depth + 1})
-					}
-				}
-			}
-		}()
-	}
-	spec := &nSpec{
-		take: memo.take,
-		publish: func(succs []nSucc) {
-			// Pending siblings (everything after the child the walk enters
-			// next), in reverse sibling order so the earliest sibling sits
-			// at the queue's deep end.
-			tgts := make([]nTarget, 0, len(succs)-1)
-			for i := len(succs) - 1; i >= 1; i-- {
-				sc := &succs[i]
-				tgts = append(tgts, nTarget{st: sc.st, copy: sc.copy, pkey: sc.pkey})
-			}
-			queue.publish(tgts)
+	return ndfs(p, opts, store, Speculate(opts, SpecEngine[nSucc, nRecord]{
+		Key:   func(n nSucc) string { return n.pkey },
+		Probe: storeProbe(store),
+		Build: func(n nSucc) (*nRecord, []nSucc) {
+			rec := nBuild(p, prop, n.st, n.copy, exp, canon, noProviso{})
+			return rec, rec.succs
 		},
-		close: func() {
-			stop.Store(true)
-			queue.close()
-			wg.Wait()
-		},
-	}
-	return ndfs(p, opts, store, spec)
+	}))
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mpbasset/internal/core"
+	"mpbasset/internal/eval"
 	"mpbasset/internal/explore"
 	"mpbasset/internal/liveness"
 	"mpbasset/internal/mptest"
@@ -20,6 +21,7 @@ import (
 	"mpbasset/internal/protocols/multicast"
 	"mpbasset/internal/protocols/paxos"
 	"mpbasset/internal/protocols/storage"
+	"mpbasset/internal/symmetry"
 )
 
 // oracleMaxStates bounds the explicit product the reference oracle builds;
@@ -423,5 +425,60 @@ func TestNDFSRequiresProperty(t *testing.T) {
 	}
 	if _, err := explore.ParallelNDFS(p, explore.Options{Workers: 2}); err == nil {
 		t.Error("ParallelNDFS without Property: want error")
+	}
+}
+
+// TestParallelNDFSUnderSymmetryMatchesSequential is the regression test for
+// the red sweep's event replay: under a symmetry canon a speculator may
+// build a product state's record from another representative of its orbit
+// than the one the red sweep later reaches, and replaying the blue search's
+// memoized events on that other representative failed with "message … not
+// pending" — a few runs in a thousand on Paxos(1,3,1), the facade-level
+// configuration TestOptionSweep covers, and nine runs in ten on the first
+// thousand states of Paxos(2,3,1). The replay now runs on the
+// representative the events were enabled in, so every run must succeed and
+// be bit-identical to sequential NDFS under the same canon. The runs are
+// bounded by MaxStates, which cuts the walk at a deterministic point.
+func TestParallelNDFSUnderSymmetryMatchesSequential(t *testing.T) {
+	for _, tc := range []struct {
+		cfg             paxos.Config
+		maxStates, runs int
+	}{
+		{paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1}, 60, 300},
+		{paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1}, 1000, 10},
+	} {
+		px, err := paxos.New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prop := paxos.Decides(tc.cfg)
+		p, err := liveness.Instrument(px, prop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := symmetry.New(p.N, tc.cfg.Roles())
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := por.NewExpander(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xo := explore.Options{Property: prop, Expander: exp, Canon: canon.Canon, MaxStates: tc.maxStates}
+		ref, err := explore.NDFS(p, xo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xo.Workers = 2
+		for i := 0; i < tc.runs; i++ {
+			res, err := explore.ParallelNDFS(p, xo)
+			if err != nil {
+				t.Fatalf("%s run %d: %v", p.Name, i, err)
+			}
+			if res.Verdict != ref.Verdict || !eval.StatsEqualModuloVolatile(res.Stats, ref.Stats) {
+				t.Fatalf("%s run %d: (%s, %+v), sequential (%s, %+v)",
+					p.Name, i, res.Verdict, res.Stats, ref.Verdict, ref.Stats)
+			}
+		}
 	}
 }

@@ -61,29 +61,6 @@ func (FullExpander) Expand(_ *core.State, enabled []core.Event, _ Proviso) []cor
 	return enabled
 }
 
-// Sched selects how ParallelBFS workers claim frontier nodes within a
-// level. Both schedulers feed the same deterministic merge, so results are
-// bit-identical across schedulers; they differ only in throughput.
-type Sched int
-
-const (
-	// SchedWorkStealing (the default) partitions each frontier into
-	// per-worker contiguous spans: workers claim chunks of their own span
-	// (size adaptive to len(frontier)/workers unless ChunkSize overrides
-	// it) and, when idle, steal the upper half of the most-loaded worker's
-	// remaining span. Visited-set inserts are flushed through the store's
-	// batched fast path (see Options.BatchSize). This is the fastest
-	// scheduler on skewed frontiers, where nodes differ widely in
-	// expansion cost.
-	SchedWorkStealing Sched = iota
-	// SchedSingleIndex is the original scheduler: workers claim one node
-	// at a time from a single shared atomic index and insert visited keys
-	// one by one. Kept as the comparison baseline for benchmarks; the
-	// shared index and per-key stripe locks make it slower on skewed
-	// frontiers and at high worker counts.
-	SchedSingleIndex
-)
-
 // Options configures a search.
 type Options struct {
 	// Expander restricts expansion (POR); nil means full expansion.
@@ -126,31 +103,30 @@ type Options struct {
 	// TrackTrace records parent links so BFS can reconstruct
 	// counterexamples (DFS reconstructs from its stack for free).
 	TrackTrace bool
-	// Workers is the size of ParallelBFS's worker pool; 0 or negative
-	// means runtime.GOMAXPROCS(0). Ignored by the sequential engines.
+	// Workers is the size of a parallel engine's worker pool — ParallelBFS's
+	// frontier workers, the speculators of ParallelDFS, ParallelNDFS and
+	// dpor.ExploreParallel; 0 or negative means runtime.GOMAXPROCS(0).
+	// Ignored by the sequential engines.
 	Workers int
-	// Sched selects ParallelBFS's intra-level scheduler; the zero value
-	// is SchedWorkStealing. Ignored by the sequential engines.
-	Sched Sched
-	// ChunkSize fixes the number of frontier nodes a work-stealing worker
-	// claims per grab; 0 or negative means adaptive
-	// (len(frontier)/(workers*8), clamped to [1, 1024]). Ignored by
-	// SchedSingleIndex and the sequential engines.
+	// ChunkSize fixes the number of frontier nodes a ParallelBFS worker
+	// claims from its span per grab; 0 or negative means adaptive
+	// (len(frontier)/(workers*8), clamped to [1, 1024]). Ignored by every
+	// other engine.
 	ChunkSize int
-	// BatchSize is the number of successor keys a work-stealing worker
+	// BatchSize is the number of successor keys a ParallelBFS worker
 	// buffers before flushing them through the store's batched insert
 	// path (BatchStore.SeenBatch); 0 or negative means the default of 64.
-	// 1 degenerates to per-key inserts. Ignored by SchedSingleIndex and
-	// the sequential engines.
+	// 1 degenerates to per-key inserts. Ignored by every other engine.
 	BatchSize int
-	// StealDepth bounds one stolen subtree's speculation in ParallelDFS: a
-	// worker that steals a pending sibling explores at most this many
-	// events below the stolen root before reporting back and stealing
-	// afresh. Deeper speculation risks staleness (the commit walk may
-	// already have visited the subtree's states via another path), shallower
-	// speculation re-steals more often; neither ever changes results, only
-	// throughput. 0 or negative means the default of 8. Ignored by every
-	// other engine.
+	// StealDepth bounds one stolen subtree's speculation in the engines
+	// built on the speculation kernel (ParallelDFS, ParallelNDFS,
+	// dpor.ExploreParallel): a worker that steals a target explores at most
+	// this many events below the stolen root before reporting back and
+	// stealing afresh. Deeper speculation risks staleness (the commit walk
+	// may already have visited the subtree's states via another path),
+	// shallower speculation re-steals more often; neither ever changes
+	// results, only throughput. 0 or negative means the default of 8.
+	// Ignored by every other engine.
 	StealDepth int
 }
 
@@ -200,7 +176,7 @@ func (o *Options) batchSize() int {
 	return 64
 }
 
-// stealDepth resolves ParallelDFS's per-steal speculation depth budget.
+// stealDepth resolves the speculation kernel's per-steal depth budget.
 func (o *Options) stealDepth() int {
 	if o.StealDepth > 0 {
 		return o.StealDepth

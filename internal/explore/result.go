@@ -69,7 +69,7 @@ type Step struct {
 // reduced expansion yields only states already visited at the start of the
 // node's level. Each such expansion is also counted in FullExpansions
 // (never in ReducedExpansions); the counter is deterministic for every
-// engine, worker count and scheduler.
+// engine and worker count.
 //
 // SpillRuns, SpillBytes and DiskProbes report the disk tier's activity
 // when the search ran over a SpillStore (always zero otherwise): sorted
@@ -80,12 +80,13 @@ type Step struct {
 // guarantee (in parallel runs the insert timing moves the spill points),
 // and the differential test suites mask them when comparing runs.
 //
-// SpeculatedVisits and SpeculationHits report the speculation layer's
-// activity in dpor.ExploreParallel (always zero elsewhere): expansion
-// records the workers built, and records the commit walk consumed. They
-// describe scheduling luck, not the explored state space — both depend on
-// worker timing — so, like the spill counters, they are volatile and
-// masked before any determinism comparison.
+// SpeculatedVisits and SpeculationHits report the speculation kernel's
+// activity in ParallelDFS, ParallelNDFS and dpor.ExploreParallel (always
+// zero elsewhere): expansion records the workers built, and records the
+// commit walk consumed. They describe scheduling luck, not the explored
+// state space — both depend on worker timing — so, like the spill
+// counters, they are volatile and masked before any determinism
+// comparison.
 //
 // BitstateFill and BitstateOmission report a lossy store's coverage when
 // the search ran over a BitstateStore (always zero otherwise): the bit

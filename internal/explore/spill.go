@@ -146,8 +146,8 @@ type spillShard struct {
 // passes SpillConfig.MergeRuns, all runs are compacted into one.
 //
 // SpillStore implements Store, BatchStore and HasStore, so every stateful
-// engine — BFS, DFS and ParallelBFS under both schedulers, batched and
-// per-key insert paths, proviso logic included — runs over it unchanged,
+// engine — BFS, DFS and ParallelBFS, batched and per-key insert paths,
+// proviso logic included — runs over it unchanged,
 // with verdicts, search statistics and traces bit-identical to the
 // in-memory fingerprint stores; only the spill-activity fields of Stats
 // (SpillRuns, SpillBytes, DiskProbes) differ from an in-memory run. It is

@@ -56,10 +56,10 @@ type diffEngine struct {
 }
 
 func diffEngines() []diffEngine {
-	parallel := func(workers int, sched explore.Sched, batch int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
+	parallel := func(workers, chunk, batch int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
 		return func(p *core.Protocol, xo explore.Options) (*explore.Result, error) {
 			xo.Workers = workers
-			xo.Sched = sched
+			xo.ChunkSize = chunk
 			xo.BatchSize = batch
 			return explore.ParallelBFS(p, xo)
 		}
@@ -73,10 +73,10 @@ func diffEngines() []diffEngine {
 	return []diffEngine{
 		{"BFS", explore.BFS, true},
 		{"DFS", explore.DFS, false},
-		{"ParallelBFS-1", parallel(1, explore.SchedWorkStealing, 0), true},
-		{"ParallelBFS-2", parallel(2, explore.SchedWorkStealing, 0), true},
-		{"ParallelBFS-8", parallel(8, explore.SchedWorkStealing, 0), true},
-		{"ParallelBFS-8-single-index", parallel(8, explore.SchedSingleIndex, 0), true},
+		{"ParallelBFS-1", parallel(1, 0, 0), true},
+		{"ParallelBFS-2", parallel(2, 0, 0), true},
+		{"ParallelBFS-8", parallel(8, 0, 0), true},
+		{"ParallelBFS-8-chunk1-batch1", parallel(8, 1, 1), true},
 		{"ParallelDFS-1", pdfs(1), true},
 		{"ParallelDFS-2", pdfs(2), true},
 		{"ParallelDFS-8", pdfs(8), true},
@@ -114,7 +114,7 @@ func suiteModels(t *testing.T) map[string]*core.Protocol {
 
 // TestSpillStoreDifferentialOnSuiteModels is the spill tier's acceptance
 // check on the bundled models: for every suite protocol and every engine
-// (BFS, DFS, ParallelBFS at 1/2/8 workers under both schedulers,
+// (BFS, DFS, ParallelBFS at 1/2/8 workers on both insert paths,
 // ParallelDFS at 1/2/8 workers), a run over a SpillStore with an
 // artificially tiny budget (forcing multiple spills and merges) must be
 // bit-identical — verdict, statistics (spill activity masked) and trace —

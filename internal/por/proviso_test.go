@@ -67,20 +67,27 @@ func reducedBFSWithoutProviso(t *testing.T, p *core.Protocol, exp *Expander) (vi
 	return false, len(seen)
 }
 
+// comparableStats zeroes the Stats fields outside the determinism
+// guarantee that these in-memory runs can set: wall-clock time and the
+// speculation kernel's counters (eval.MaskVolatileStats is the canonical
+// mask, but package eval imports this one).
+func comparableStats(st explore.Stats) explore.Stats {
+	st.Duration, st.SpeculatedVisits, st.SpeculationHits = 0, 0, 0
+	return st
+}
+
 // provisoEngines is the engine matrix of the cyclic soundness tests: DFS,
-// sequential BFS, and ParallelBFS with 1/2/8 workers under both the
-// work-stealing and single-index schedulers, batched and per-key insert
-// paths.
+// sequential BFS, and ParallelBFS with 1/2/8 workers, on the batched and
+// the one-node-per-claim, per-key insert paths.
 type provisoEngine struct {
 	name string
 	run  func(*core.Protocol, explore.Options) (*explore.Result, error)
 }
 
 func provisoEngines() []provisoEngine {
-	parallel := func(workers int, sched explore.Sched, chunk, batch int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
+	parallel := func(workers, chunk, batch int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
 		return func(p *core.Protocol, xo explore.Options) (*explore.Result, error) {
 			xo.Workers = workers
-			xo.Sched = sched
 			xo.ChunkSize = chunk
 			xo.BatchSize = batch
 			return explore.ParallelBFS(p, xo)
@@ -88,11 +95,11 @@ func provisoEngines() []provisoEngine {
 	}
 	return []provisoEngine{
 		{"BFS", explore.BFS},
-		{"ParallelBFS-1", parallel(1, explore.SchedWorkStealing, 0, 0)},
-		{"ParallelBFS-2", parallel(2, explore.SchedWorkStealing, 0, 0)},
-		{"ParallelBFS-8", parallel(8, explore.SchedWorkStealing, 0, 0)},
-		{"ParallelBFS-8-batch1", parallel(8, explore.SchedWorkStealing, 1, 1)},
-		{"ParallelBFS-8-single-index", parallel(8, explore.SchedSingleIndex, 0, 0)},
+		{"ParallelBFS-1", parallel(1, 0, 0)},
+		{"ParallelBFS-2", parallel(2, 0, 0)},
+		{"ParallelBFS-8", parallel(8, 0, 0)},
+		{"ParallelBFS-8-batch1", parallel(8, 1, 1)},
+		{"ParallelBFS-2-batch1", parallel(2, 1, 1)},
 	}
 }
 
@@ -154,8 +161,8 @@ func TestIgnoringTrapReducedBFSWithoutProvisoMisses(t *testing.T) {
 // proviso: on the trap — where SPOR+BFS previously verified incorrectly —
 // every reduced engine must now report the violation with the identical,
 // replayable trace (ring-1 CYC hops followed by the violating event),
-// bit-identical across DFS, BFS and ParallelBFS at 1/2/8 workers under
-// both schedulers, with a deterministic ProvisoExpansions count of 1 (only
+// bit-identical across DFS, BFS and ParallelBFS at 1/2/8 workers on both
+// insert paths, with a deterministic ProvisoExpansions count of 1 (only
 // the expansion closing the ring is promoted).
 func TestIgnoringTrapAllEnginesAgree(t *testing.T) {
 	for _, ring := range []int{2, 3, 5} {
@@ -217,8 +224,7 @@ func TestIgnoringTrapAllEnginesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ring %d %s: %v", ring, eng.name, err)
 			}
-			rs, ds := res.Stats, dfs.Stats
-			rs.Duration, ds.Duration = 0, 0
+			rs, ds := comparableStats(res.Stats), comparableStats(dfs.Stats)
 			if rs != ds || res.Verdict != dfs.Verdict {
 				t.Errorf("ring %d %s: %s %+v, sequential DFS %s %+v", ring, eng.name, res.Verdict, rs, dfs.Verdict, ds)
 			}
@@ -245,7 +251,7 @@ func TestIgnoringTrapAllEnginesAgree(t *testing.T) {
 // matrix: reduced BFS must match the unreduced verdict (soundness), DFS
 // must agree, and every BFS-family engine must report bit-identical
 // statistics (including ProvisoExpansions) and traces for every worker
-// count and scheduler.
+// count and insert path.
 func TestQueueProvisoSoundnessMatrixOnCyclicProtocols(t *testing.T) {
 	configs := []mptest.GenConfig{
 		{Quorums: true, Cycles: true, Threshold: 1},
@@ -298,8 +304,7 @@ func TestQueueProvisoSoundnessMatrixOnCyclicProtocols(t *testing.T) {
 				if err != nil {
 					t.Fatalf("config %d seed %d %s: %v", ci, seed, eng.name, err)
 				}
-				rs, ds := res.Stats, dfs.Stats
-				rs.Duration, ds.Duration = 0, 0
+				rs, ds := comparableStats(res.Stats), comparableStats(dfs.Stats)
 				if rs != ds || res.Verdict != dfs.Verdict {
 					t.Errorf("config %d seed %d %s: %s %+v, sequential DFS %s %+v", ci, seed, eng.name, res.Verdict, rs, dfs.Verdict, ds)
 				}
@@ -319,8 +324,7 @@ func TestQueueProvisoSoundnessMatrixOnCyclicProtocols(t *testing.T) {
 				if err != nil {
 					t.Fatalf("config %d seed %d %s: %v", ci, seed, eng.name, err)
 				}
-				ps, ss := res.Stats, seq.Stats
-				ps.Duration, ss.Duration = 0, 0
+				ps, ss := comparableStats(res.Stats), comparableStats(seq.Stats)
 				if ps != ss {
 					t.Errorf("config %d seed %d %s: stats %+v, sequential %+v", ci, seed, eng.name, ps, ss)
 				}
@@ -374,8 +378,7 @@ func TestQueueProvisoDeterministicRepeats(t *testing.T) {
 			base = res
 			continue
 		}
-		bs, rs := base.Stats, res.Stats
-		bs.Duration, rs.Duration = 0, 0
+		bs, rs := comparableStats(base.Stats), comparableStats(res.Stats)
 		if rs != bs || res.Verdict != base.Verdict || len(res.Trace) != len(base.Trace) {
 			t.Fatalf("run %d differs: %s %+v vs %s %+v", i, res.Verdict, rs, base.Verdict, bs)
 		}

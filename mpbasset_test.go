@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpbasset"
+	"mpbasset/internal/eval"
 	"mpbasset/internal/explore"
 	"mpbasset/internal/mptest"
 	"mpbasset/internal/protocols/multicast"
@@ -250,9 +251,8 @@ func TestCheckStoreBudget(t *testing.T) {
 				t.Errorf("verdict %s under budget, %s without", res.Verdict, ref.Verdict)
 			}
 			rs, ws := res.Stats, ref.Stats
-			rs.Duration, ws.Duration = 0, 0
-			rs.SpillRuns, rs.SpillBytes, rs.DiskProbes = 0, 0, 0
-			ws.SpillRuns, ws.SpillBytes, ws.DiskProbes = 0, 0, 0
+			eval.MaskVolatileStats(&rs)
+			eval.MaskVolatileStats(&ws)
 			if rs != ws {
 				t.Errorf("stats %+v under budget, %+v without", rs, ws)
 			}
@@ -334,9 +334,8 @@ func TestCheckLiveness(t *testing.T) {
 			ref = res
 		} else if tc.name != "unreduced" {
 			rs, ws := res.Stats, ref.Stats
-			rs.Duration, ws.Duration = 0, 0
-			rs.SpillRuns, rs.SpillBytes, rs.DiskProbes = 0, 0, 0
-			ws.SpillRuns, ws.SpillBytes, ws.DiskProbes = 0, 0, 0
+			eval.MaskVolatileStats(&rs)
+			eval.MaskVolatileStats(&ws)
 			if rs != ws {
 				t.Errorf("%s: stats %+v, want %+v", tc.name, rs, ws)
 			}
@@ -417,9 +416,8 @@ func TestCheckCompress(t *testing.T) {
 				t.Fatalf("verdict %s compressed, %s plain", res.Verdict, ref.Verdict)
 			}
 			rs, ws := res.Stats, ref.Stats
-			rs.Duration, ws.Duration = 0, 0
-			rs.SpillRuns, rs.SpillBytes, rs.DiskProbes = 0, 0, 0
-			ws.SpillRuns, ws.SpillBytes, ws.DiskProbes = 0, 0, 0
+			eval.MaskVolatileStats(&rs)
+			eval.MaskVolatileStats(&ws)
 			if rs != ws {
 				t.Errorf("stats %+v compressed, %+v plain", rs, ws)
 			}
@@ -714,16 +712,6 @@ func TestOptionSweep(t *testing.T) {
 				}
 			}
 			verr := opts.Validate()
-			if verr == nil && opts.Workers > 0 && opts.Property != nil && opts.SymmetryRoles != nil {
-				// Known engine bug, present before this table existed and
-				// out of the facade's hands (ROADMAP, robustness item):
-				// ParallelNDFS under a symmetry canon replays memoized
-				// events on another representative of the orbit and fails,
-				// a few runs in a hundred, with "message … not pending".
-				// No rule excludes the combination, so the sweep cannot
-				// hold it to "returns a result" until the engine is fixed.
-				continue
-			}
 			res, err := mpbasset.Check(fx.protocol(search), opts)
 			if verr != nil {
 				if res != nil || err == nil || err.Error() != verr.Error() {
