@@ -193,10 +193,23 @@ func (b *Bag) HasMatchingSenders(proc ProcessID, typ string, peers []ProcessID, 
 	return false
 }
 
-// HasMatching reports whether at least one pending message is addressed to
-// proc with the given type from an allowed sender.
-func (b *Bag) HasMatching(proc ProcessID, typ string, peers []ProcessID) bool {
-	return b.HasMatchingSenders(proc, typ, peers, 1)
+// AppendMatchingSenders appends to dst the allowed senders (nil peers = any
+// sender) that have a pending message addressed to proc with the given
+// type: each such sender exactly once, in the bag's key order. It is one
+// pass over the bag and allocates only to grow dst. Package por derives
+// from it both the senders a disabled transition is still missing and the
+// senders that can no longer grow an enabled UniquePerSender transition.
+func (b *Bag) AppendMatchingSenders(dst []ProcessID, proc ProcessID, typ string, peers []ProcessID) []ProcessID {
+	last := ProcessID(-1) // one sender's entries are contiguous, as above
+	for i := range b.entries {
+		m := b.entries[i].msg
+		if m.From == last || !m.matches(proc, typ, peers) {
+			continue
+		}
+		last = m.From
+		dst = append(dst, last)
+	}
+	return dst
 }
 
 // locate appends to dst, in ascending order, the entry position of every

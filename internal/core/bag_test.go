@@ -108,8 +108,16 @@ func TestBagAppendMatching(t *testing.T) {
 	if want := []string{"9>9:KEEP{0}", "0>5:X{1}", "2>5:X{4}"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("peer-restricted matching = %v, want %v", got, want)
 	}
-	if !b.HasMatching(5, "X", nil) || b.HasMatching(7, "X", nil) || b.HasMatching(5, "X", []ProcessID{3}) {
-		t.Fatal("HasMatching wrong")
+	// Each sender once, however many messages it has pending, behind what
+	// the caller already holds; no sender is an empty result, not nil-vs-set.
+	if got := b.AppendMatchingSenders([]ProcessID{9}, 5, "X", nil); !reflect.DeepEqual(got, []ProcessID{9, 0, 1, 2}) {
+		t.Fatalf("matching senders = %v, want [9 0 1 2]", got)
+	}
+	if got := b.AppendMatchingSenders(nil, 5, "X", []ProcessID{2, 1}); !reflect.DeepEqual(got, []ProcessID{1, 2}) {
+		t.Fatalf("peer-restricted matching senders = %v, want [1 2]", got)
+	}
+	if len(b.AppendMatchingSenders(nil, 7, "X", nil)) != 0 || len(b.AppendMatchingSenders(nil, 5, "X", []ProcessID{3})) != 0 {
+		t.Fatal("AppendMatchingSenders found a sender where none matches")
 	}
 	if !b.HasMatchingSenders(5, "X", nil, 3) || b.HasMatchingSenders(5, "X", nil, 4) ||
 		b.HasMatchingSenders(5, "X", []ProcessID{1}, 2) || !b.HasMatchingSenders(7, "X", nil, 0) {

@@ -30,11 +30,15 @@
 // message, so every message read back from a bag, an Event or a Ctx answers
 // Key() without rebuilding the string — which is also why a sent Message is
 // immutable (see Message). Bag.Each iterates in key order, and matching the
-// pending messages of a transition (AppendMatching, HasMatchingSenders) is
-// a scan into caller-owned scratch: Enabled allocates only the events it
-// returns, StructurallyEnabled and MissingSenders nothing on a complete
-// quorum. Matching orders senders numerically while keys order them as
-// decimal strings; the two differ from eleven processes on.
+// pending messages of a transition (AppendMatching, HasMatchingSenders,
+// AppendMatchingSenders) is a scan into caller-owned scratch: Enabled
+// allocates only the events it returns, StructurallyEnabled nothing, and
+// AppendMatchingSenders — one pass that names every allowed sender with a
+// candidate pending, from which package por derives both the senders a
+// disabled transition is missing and the ones that can no longer grow an
+// enabled one — nothing once the caller's scratch has grown. AppendMatching
+// orders senders numerically while keys order them as decimal strings; the
+// two differ from eleven processes on.
 //
 // A State carries the canonical key of each process's local state, complete
 // from construction. Execute hands the parent's local states and their keys

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -185,22 +184,6 @@ func (p *Protocol) StructurallyEnabled(t *Transition, s *State) bool {
 		q = 1
 	}
 	return s.Msgs.HasMatchingSenders(t.Proc, t.MsgType, t.Peers, q)
-}
-
-// MissingSenders returns the allowed peers of t that currently have no
-// pending candidate message, ascending. For transitions with nil Peers it
-// returns nil (any process could supply the missing messages). Package
-// por's NET optimization narrows necessary enabling transitions to feeders
-// executed by missing senders.
-func (p *Protocol) MissingSenders(t *Transition, s *State) []ProcessID {
-	var missing []ProcessID
-	for _, q := range t.Peers {
-		if !s.Msgs.HasMatching(t.Proc, t.MsgType, []ProcessID{q}) {
-			missing = append(missing, q)
-		}
-	}
-	slices.Sort(missing)
-	return missing
 }
 
 // PowersetSize returns 2^k capped at maxInt, the number of message subsets

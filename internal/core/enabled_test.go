@@ -146,20 +146,35 @@ func TestEnabledLocalGuardShortCircuit(t *testing.T) {
 	}
 }
 
-func TestStructurallyEnabledAndMissingSenders(t *testing.T) {
+func TestStructurallyEnabledAndMatchingSenders(t *testing.T) {
 	p := quorumTestProtocol(t, 2, nil)
 	tr := p.Transitions[0]
+	senders := func(s *State, peers []ProcessID) string {
+		return fmt.Sprint(s.Msgs.AppendMatchingSenders(nil, tr.Proc, tr.MsgType, peers))
+	}
 	s := stateWithMsgs(p, t, msg(1, 3, "Q", 0))
 	if p.StructurallyEnabled(tr, s) {
 		t.Fatal("one sender should not satisfy quorum 2")
 	}
-	missing := p.MissingSenders(tr, s)
-	if got := fmt.Sprint(missing); got != "[0 2]" {
-		t.Fatalf("missing senders = %s, want [0 2]", got)
+	if got := senders(s, tr.Peers); got != "[1]" {
+		t.Fatalf("matching senders = %s, want [1] (peers 0 and 2 are missing)", got)
 	}
 	s2 := stateWithMsgs(p, t, msg(1, 3, "Q", 0), msg(2, 3, "Q", 0))
 	if !p.StructurallyEnabled(tr, s2) {
 		t.Fatal("two senders should satisfy quorum 2")
+	}
+	// The two cases the deleted MissingSenders answered with the same nil:
+	// unrestricted peers (here also a sender outside {0,1,2}) and no peer
+	// missing. The senders themselves tell them apart.
+	s3 := stateWithMsgs(p, t, msg(0, 3, "Q", 0), msg(1, 3, "Q", 0), msg(1, 3, "Q", 1), msg(2, 3, "Q", 0), msg(3, 3, "Q", 0))
+	if got := senders(s3, nil); got != "[0 1 2 3]" {
+		t.Fatalf("matching senders under nil peers = %s, want [0 1 2 3]", got)
+	}
+	if got := senders(s3, tr.Peers); got != "[0 1 2]" {
+		t.Fatalf("matching senders with no peer missing = %s, want [0 1 2]", got)
+	}
+	if got := senders(s, nil); got != "[1]" {
+		t.Fatalf("matching senders under nil peers = %s, want [1]", got)
 	}
 }
 
@@ -183,16 +198,17 @@ func TestMatchingAllocatesNothing(t *testing.T) {
 	p := quorumTestProtocol(t, 2, reject)
 	tr := p.Transitions[0]
 	complete := stateWithMsgs(p, t, msg(0, 3, "Q", 0), msg(1, 3, "Q", 0), msg(1, 3, "Q", 1), msg(2, 3, "Q", 0), msg(2, 0, "Q", 0))
-	if !complete.Msgs.HasMatching(3, "Q", tr.Peers) || !p.StructurallyEnabled(tr, complete) ||
-		len(p.MissingSenders(tr, complete)) != 0 || len(p.Enabled(complete)) != 0 {
+	scratch := make([]ProcessID, 0, p.N)
+	if len(complete.Msgs.AppendMatchingSenders(scratch, 3, "Q", tr.Peers)) != 3 || !p.StructurallyEnabled(tr, complete) ||
+		len(p.Enabled(complete)) != 0 {
 		t.Fatal("want a complete quorum whose every candidate set the guard rejects")
 	}
 	var sink bool
 	for name, f := range map[string]func(){
-		"HasMatching":         func() { sink = complete.Msgs.HasMatching(3, "Q", tr.Peers) },
-		"StructurallyEnabled": func() { sink = p.StructurallyEnabled(tr, complete) },
-		"MissingSenders":      func() { sink = p.MissingSenders(tr, complete) == nil },
-		"Enabled":             func() { sink = p.Enabled(complete) == nil },
+		"HasMatchingSenders":    func() { sink = complete.Msgs.HasMatchingSenders(3, "Q", tr.Peers, 1) },
+		"StructurallyEnabled":   func() { sink = p.StructurallyEnabled(tr, complete) },
+		"AppendMatchingSenders": func() { sink = len(complete.Msgs.AppendMatchingSenders(scratch, 3, "Q", tr.Peers)) == 3 },
+		"Enabled":               func() { sink = p.Enabled(complete) == nil },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 || !sink {
 			t.Errorf("%s: %v allocations per call, want 0", name, n)

@@ -95,7 +95,7 @@ func TestExecuteSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Msgs.Len() != 1 || !s2.Msgs.HasMatching(0, "PONG", nil) {
+	if s2.Msgs.Len() != 1 || !s2.Msgs.HasMatchingSenders(0, "PONG", nil, 1) {
 		t.Fatal("PING consumption should yield exactly one PONG")
 	}
 

@@ -249,23 +249,18 @@ func oracleEnabled(p *core.Protocol, s *core.State) []core.Event {
 	return out
 }
 
-func oracleMissingSenders(t *core.Transition, bag *oracleBag) []core.ProcessID {
-	if t.Peers == nil {
-		return nil
+// oracleMatchingSenders requires Bag.AppendMatchingSenders to return the
+// oracle's senders, each once: unlike the MissingSenders it replaced, whose
+// nil meant both "unrestricted peers" and "no peer missing", an empty
+// result only ever means that no allowed sender has a candidate.
+func oracleMatchingSenders(bag *core.Bag, oracle *oracleBag, proc core.ProcessID, typ string, peers []core.ProcessID) error {
+	want, _ := oracle.matchingBySender(proc, typ, peers)
+	got := bag.AppendMatchingSenders(nil, proc, typ, peers)
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] }) // key order is not numeric order
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Errorf("AppendMatchingSenders(%d, %s, %v) = %v, oracle %v", proc, typ, peers, got, want)
 	}
-	senders, _ := bag.matchingBySender(t.Proc, t.MsgType, t.Peers)
-	have := make(map[core.ProcessID]bool, len(senders))
-	for _, q := range senders {
-		have[q] = true
-	}
-	var missing []core.ProcessID
-	for _, q := range t.Peers {
-		if !have[q] {
-			missing = append(missing, q)
-		}
-	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	return missing
+	return nil
 }
 
 type intPayload int
@@ -364,8 +359,8 @@ func TestBagAgainstMapOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: AppendMatching(%d, %s, %v)\n got %v\nwant %v", seed, step, proc, typ, peers, got, want)
 			}
 			senders, _ := oracle.matchingBySender(proc, typ, peers)
-			if bag.HasMatching(proc, typ, peers) != (len(senders) > 0) {
-				t.Fatalf("seed %d step %d: HasMatching(%d, %s, %v) disagrees with %d senders", seed, step, proc, typ, peers, len(senders))
+			if err := oracleMatchingSenders(bag, oracle, proc, typ, peers); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			for q := 0; q <= len(senders)+1; q++ {
 				if bag.HasMatchingSenders(proc, typ, peers, q) != (len(senders) >= q) {
@@ -379,7 +374,8 @@ func TestBagAgainstMapOracle(t *testing.T) {
 // assertEnabledMatchesOracle walks the reachable states of p breadth-first,
 // at most maxStates of them, and requires Enabled to return the oracle's
 // event sequence — same transitions, same message sets, same order — and
-// StructurallyEnabled / MissingSenders to agree with the oracle's matching.
+// StructurallyEnabled / AppendMatchingSenders to agree with the oracle's
+// matching.
 // On the same walk, every state's Key and ComponentKeys must equal the
 // from-scratch encoding, and every successor the one the clone-and-mutate
 // Execute builds.
@@ -417,8 +413,10 @@ func assertEnabledMatchesOracle(t *testing.T, p *core.Protocol, maxStates int) {
 			if p.StructurallyEnabled(tr, s) != structural {
 				t.Fatalf("%s at %s: StructurallyEnabled(%s) = %v, oracle %v", p.Name, s, tr, !structural, structural)
 			}
-			if got, want := p.MissingSenders(tr, s), oracleMissingSenders(tr, bag); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s at %s: MissingSenders(%s) = %v, oracle %v", p.Name, s, tr, got, want)
+			for _, peers := range [][]core.ProcessID{tr.Peers, nil} {
+				if err := oracleMatchingSenders(s.Msgs, bag, tr.Proc, tr.MsgType, peers); err != nil {
+					t.Fatalf("%s at %s: %s: %v", p.Name, s, tr, err)
+				}
 			}
 		}
 		for _, ev := range got {

@@ -3,6 +3,7 @@ package por
 import (
 	"testing"
 
+	"mpbasset/internal/core"
 	"mpbasset/internal/protocols/paxos"
 	"mpbasset/internal/refine"
 )
@@ -32,36 +33,17 @@ func BenchmarkAnalysisPrecomputation(b *testing.B) {
 	}
 }
 
-// BenchmarkStubbornClosure measures the per-state closure computation.
-func BenchmarkStubbornClosure(b *testing.B) {
-	p, err := paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := NewAnalysis(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := p.InitialState()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Advance one PROPOSE so the state has pending messages.
-	s, err = p.Execute(s, p.Enabled(s)[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	enabled := map[int]bool{}
-	for _, ev := range p.Enabled(s) {
-		enabled[ev.T.Index()] = true
-	}
-	seed := -1
-	for idx := range enabled {
-		seed = idx
-		break
-	}
+// BenchmarkExpand measures the per-state reduction — enabled bitset, row
+// memo, closure per seed tried, subset — over a fixed corpus: the first
+// 2000 states a DFS of the Paxos(2,3,2) quorum model expands.
+func BenchmarkExpand(b *testing.B) {
+	exp, states, enabled := expandCorpus(b, 2000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.stubborn(seed, s, enabled, closureConfig{})
+		k := i % len(states)
+		benchSink = exp.Expand(states[k], enabled[k], nil)
 	}
 }
+
+var benchSink []core.Event

@@ -21,6 +21,24 @@
 //   - transitions reading other processes' states (GlobalReads) are
 //     dependent on every transition of those processes.
 //
+// Representation. The transition universe is fixed before the search starts
+// (a dozen to a few dozen indices on the bundled models), so every relation
+// of Analysis is a table of bitset rows — conflicts, writers, feeders,
+// feeders by (transition, feeding process), writers ∪ feeders, the
+// symmetric dependence relation, and the one row of visible transitions —
+// cut from a single slab by NewAnalysis, and Expander.Expand computes a
+// stubborn set as an OR-fixed-point over rows: ample size and the C2 check
+// are a popcount and an AND. The invariant the closure rests on: the row a
+// member pulls in (conflicts and still-growing feeders if it is enabled,
+// its necessary enabling set otherwise) depends on the state but not on
+// the seed nor on the rest of the set. Expand therefore computes each row
+// at most once per state, into a pooled scratch (speculators call one
+// Expander concurrently), shares it between all the seeds it tries, and
+// allocates only the subset it returns. The chosen ample set itself is not
+// cached across states: a key for it would have to hold every
+// state-dependent pick (enabled set, local-guard outcomes, pending senders
+// per member), and computing those picks is all the work there is.
+//
 // The expander implements the ample-set provisos: C2 (a reduced ample set
 // must contain no property-visible transition) here, and C3 (the ignoring
 // proviso) in cooperation with the engines of package explore. C3 demands

@@ -1,7 +1,10 @@
 package por
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"mpbasset/internal/explore"
 
@@ -78,6 +81,37 @@ func newExpander(a *Analysis) *Expander {
 // Analysis exposes the underlying static analysis (diagnostics, tests).
 func (e *Expander) Analysis() *Analysis { return e.a }
 
+// scratch is the working memory of one Expand call, reused through
+// scratchPool so that a call allocates nothing but the subset it returns.
+type scratch struct {
+	enabled bitset    // the transitions with an enabled event
+	stub    [2]bitset // the closure being computed and the best one kept
+	todo    bitset    // members of the closure whose row is not ORed in yet
+	have    bitset    // the members whose row is filled in for this state
+	// rows is a table like those of Analysis: row i is what member i pulls
+	// into a stubborn set at this state, valid iff have has i.
+	rows    []uint64
+	senders []core.ProcessID
+}
+
+// scratchPool lets concurrent Expand callers (the speculators share one
+// Expander) each work on a scratch of their own.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a scratch sized for a, with enabled and have empty.
+func (a *Analysis) getScratch() *scratch {
+	sc := scratchPool.Get().(*scratch)
+	n, w := len(a.p.Transitions), a.w
+	if len(sc.enabled) != w || len(sc.rows) < n*w {
+		slab := make([]uint64, (5+n)*w)
+		sc.enabled, sc.stub[0], sc.stub[1], sc.todo, sc.have, sc.rows =
+			slab[:w], slab[w:2*w], slab[2*w:3*w], slab[3*w:4*w], slab[4*w:5*w], slab[5*w:]
+	}
+	clear(sc.enabled)
+	clear(sc.have)
+	return sc
+}
+
 // Expand implements explore.Expander. The ignoring proviso (C3) is
 // enforced by the engines themselves — DFS re-expands when a reduced
 // expansion would close a cycle on its stack, the BFS engines when a
@@ -88,12 +122,17 @@ func (e *Expander) Expand(s *core.State, enabled []core.Event, _ explore.Proviso
 	if len(enabled) <= 1 {
 		return enabled
 	}
-	enabledSet := make(map[int]bool)
+	sc := e.a.getScratch()
+	out := e.expand(sc, s, enabled)
+	scratchPool.Put(sc)
+	return out
+}
+
+func (e *Expander) expand(sc *scratch, s *core.State, enabled []core.Event) []core.Event {
 	distinct := 0
-	for _, ev := range enabled {
-		idx := ev.T.Index()
-		if !enabledSet[idx] {
-			enabledSet[idx] = true
+	for i := range enabled {
+		if idx := enabled[i].T.Index(); !sc.enabled.has(idx) {
+			sc.enabled.set(idx)
 			distinct++
 		}
 	}
@@ -103,52 +142,161 @@ func (e *Expander) Expand(s *core.State, enabled []core.Event, _ explore.Proviso
 		return enabled
 	}
 
-	var best map[int]bool
-	bestSize := distinct
+	var best bitset
+	bestSize, cur := distinct, 0
 	for _, seed := range e.seedOrder {
-		if !enabledSet[seed] {
+		if !sc.enabled.has(seed) {
 			continue
 		}
-		stub := e.a.stubborn(seed, s, enabledSet, closureConfig{
-			disableNET:        e.DisableNET,
-			disableUniqueness: e.DisableUniqueness,
-			dropGrowthFeeders: e.dropGrowthFeeders,
-		})
-		size, visible := e.ampleInfo(stub, enabledSet)
+		stub := sc.stub[cur]
+		e.stubborn(sc, stub, seed, s)
+		// The ample set is the enabled part of the stubborn set.
+		size, visible := 0, false
+		for k, word := range stub {
+			word &= sc.enabled[k]
+			size += bits.OnesCount64(word)
+			visible = visible || word&e.a.visible[k] != 0
+		}
 		if size >= bestSize || visible {
 			continue
 		}
+		best, bestSize = stub, size
 		if !e.BestSeed {
-			best = stub
 			break
 		}
-		best = stub
-		bestSize = size
+		cur ^= 1 // keep best, close the next seeds into the other buffer
 	}
 	if best == nil {
 		return enabled
 	}
-	out := make([]core.Event, 0, len(enabled))
-	for _, ev := range enabled {
-		if best[ev.T.Index()] {
-			out = append(out, ev)
+	// The engines retain enabled for proviso promotion, so the subset is a
+	// slice of its own, sized exactly.
+	kept := 0
+	for i := range enabled {
+		if best.has(enabled[i].T.Index()) {
+			kept++
+		}
+	}
+	out := make([]core.Event, 0, kept)
+	for i := range enabled {
+		if best.has(enabled[i].T.Index()) {
+			out = append(out, enabled[i])
 		}
 	}
 	return out
 }
 
-// ampleInfo returns the number of distinct enabled transitions in the
-// stubborn set and whether any of them is visible.
-func (e *Expander) ampleInfo(stub, enabled map[int]bool) (size int, visible bool) {
-	//lint:nondet-ok commutative accumulation: size is a count and visible an OR, both order-free
-	for idx := range stub {
-		if !enabled[idx] {
+// stubborn computes into stub the strong stubborn set at state s seeded
+// with seed, as the least fixed point of "every member's row is in the
+// set": an enabled member pulls in anything that could disable it, conflict
+// with it, or grow its set of executable events; a disabled member pulls in
+// a necessary enabling set.
+func (e *Expander) stubborn(sc *scratch, stub bitset, seed int, s *core.State) {
+	todo := sc.todo // empty between closures
+	clear(stub)
+	stub.set(seed)
+	todo.set(seed)
+	for k := 0; k < len(todo); {
+		if todo[k] == 0 {
+			k++
 			continue
 		}
-		size++
-		if e.a.p.Transitions[idx].Visible {
-			visible = true
+		i := k<<6 + bits.TrailingZeros64(todo[k])
+		todo[k] &= todo[k] - 1
+		for j, word := range e.row(sc, i, s) {
+			if fresh := word &^ stub[j]; fresh != 0 {
+				stub[j] |= fresh
+				todo[j] |= fresh
+				k = min(k, j)
+			}
 		}
 	}
-	return size, visible
+}
+
+// row returns the transitions member i pulls into a stubborn set at state
+// s. It depends on the state but not on the seed or on the rest of the
+// set, so it is filled in at most once per Expand and shared by every seed
+// tried.
+func (e *Expander) row(sc *scratch, i int, s *core.State) bitset {
+	row := e.a.row(sc.rows, i)
+	if !sc.have.has(i) {
+		sc.have.set(i)
+		e.fillRow(sc, row, i, s)
+	}
+	return row
+}
+
+// fillRow writes member i's row: a copy of one of the Analysis, or one
+// derived from the senders pending at s.
+//
+// An enabled member pulls in its conflicts and the feeders that could still
+// grow its event set. New events need new consumable messages; when i is
+// UniquePerSender, a sender that already contributes a candidate cannot
+// supply another, so only feeders executed by non-contributing peers
+// qualify — for a fully split transition whose quorum is complete, that is
+// the empty set, which is precisely why refinement sharpens the reduction
+// (§III-C/D). Without the uniqueness property every feeder must be assumed
+// capable of adding alternatives.
+//
+// A disabled member pulls in a necessary enabling set: every path on which
+// i becomes enabled must execute one of the returned transitions first.
+// The tightest applicable condition is chosen (the LPOR-NET optimization):
+//
+//  1. the local-state guard is false (or the transition is spontaneous, so
+//     its whole guard is local) — only the process's own state-writing
+//     transitions can change that;
+//  2. the message quorum is structurally incomplete — only feeders, and
+//     with restricted peers only feeders executed by the *missing* senders
+//     (this is where quorum-split sharpens the NET); if no feeder can ever
+//     supply the deficit the transition is permanently disabled and the
+//     empty set is a valid NET;
+//  3. otherwise the content guard rejects every candidate set — a local
+//     change or different message contents are needed.
+func (e *Expander) fillRow(sc *scratch, row bitset, i int, s *core.State) {
+	a := e.a
+	t := a.p.Transitions[i]
+	if sc.enabled.has(i) {
+		if t.Spontaneous() || e.dropGrowthFeeders {
+			copy(row, a.row(a.conflicts, i))
+			return
+		}
+		copy(row, a.row(a.feeders, i))
+		if t.UniquePerSender && !e.DisableUniqueness {
+			sc.senders = s.Msgs.AppendMatchingSenders(sc.senders[:0], t.Proc, t.MsgType, t.Peers)
+			for _, q := range sc.senders {
+				for k, word := range a.row(a.feedersBy, i*a.p.N+int(q)) {
+					row[k] &^= word
+				}
+			}
+		}
+		for k, word := range a.row(a.conflicts, i) {
+			row[k] |= word
+		}
+		return
+	}
+	switch {
+	case t.Spontaneous() || !t.LocalGuardOK(s.Locals[t.Proc]):
+		copy(row, a.row(a.writers, i))
+	case a.p.StructurallyEnabled(t, s):
+		copy(row, a.row(a.enabling, i))
+	case t.Peers == nil || e.DisableNET:
+		copy(row, a.row(a.feeders, i))
+	default:
+		sc.senders = s.Msgs.AppendMatchingSenders(sc.senders[:0], t.Proc, t.MsgType, t.Peers)
+		clear(row)
+		missing := false
+		for _, q := range t.Peers {
+			if !slices.Contains(sc.senders, q) {
+				missing = true
+				for k, word := range a.row(a.feedersBy, i*a.p.N+int(q)) {
+					row[k] |= word
+				}
+			}
+		}
+		if !missing {
+			// Every peer has a candidate pending and the quorum is still
+			// short: fall back to all feeders, as for unrestricted peers.
+			copy(row, a.row(a.feeders, i))
+		}
+	}
 }
