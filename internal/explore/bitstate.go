@@ -112,20 +112,12 @@ func probe(h1, h2 uint64, i int, mask uint64) uint64 {
 	return (h1 + uint64(i)*h2) & mask
 }
 
-// mix64 is the 64-bit murmur3/splitmix finalizer: a bijective avalanche
-// that spreads every input bit over the whole word. The raw FNV-128 words
-// are poor probe indices on their own — similar keys leave the high word's
-// low bits nearly constant, and the probe mask keeps only low bits — so
-// both halves are finalized before probing.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
+// hashes derives the double-hashing pair from the fingerprint. Both halves
+// are re-finalised with mix64. The fingerprint already ends in that
+// finaliser, so the extra round adds no dispersion; it stays because it
+// decides the probe positions, and with them which states a lossy run
+// omits. The lossy pins (ExampleCheck_lossy, the bench's bitstate cell)
+// were taken with it: without it ExampleCheck_lossy loses one more state.
 func (b *BitstateStore) hashes(key string) (h1, h2 uint64) {
 	fp := fingerprint(key)
 	h1 = mix64(binary.BigEndian.Uint64(fp[:8]))

@@ -46,8 +46,9 @@ func (sh *storeShard) insertLocked(exact bool, key string, fp [16]byte) bool {
 // linearizable per key and goroutines hammering distinct stripes do not
 // contend. It wraps both storage modes of the sequential stores behind the
 // Store interface: exact full-key storage (NewShardedExactStore, the
-// ExactStore analogue) and 128-bit FNV-1a fingerprints
-// (NewShardedHashStore, the HashStore analogue).
+// ExactStore analogue) and 128-bit fingerprints (NewShardedHashStore, the
+// HashStore analogue). Both modes pick the stripe by the fingerprint's
+// last byte, which is uniform (see fingerprint).
 //
 // ShardedStore also implements BatchStore: SeenBatch groups its keys by
 // stripe and takes each stripe lock once per batch instead of once per
@@ -67,7 +68,7 @@ type ShardedStore struct {
 func NewShardedExactStore() *ShardedStore { return &ShardedStore{exact: true} }
 
 // NewShardedHashStore returns an empty concurrent store keeping 128-bit
-// FNV-1a fingerprints instead of full keys, trading a negligible collision
+// fingerprints instead of full keys, trading a negligible collision
 // probability for a large memory saving on multi-million-state runs.
 func NewShardedHashStore() *ShardedStore { return &ShardedStore{} }
 

@@ -42,8 +42,8 @@ type SpillConfig struct {
 }
 
 // spillBloom is a run's in-memory membership summary: a power-of-two
-// bitset probed at four positions sliced directly from the 128-bit FNV
-// fingerprint (the fingerprint is already a high-quality hash, so no
+// bitset probed at four positions sliced directly from the 128-bit
+// fingerprint (MurmurHash3 output is uniform in every bit, so no
 // rehashing is needed). It answers "definitely absent" for most keys a
 // run does not hold, keeping negative probes off the disk.
 type spillBloom struct {
@@ -136,14 +136,15 @@ type spillShard struct {
 }
 
 // SpillStore is a two-tier visited-state store for state spaces that
-// exceed RAM: a sharded in-memory hot tier of 128-bit FNV-1a fingerprints
-// (the same fingerprint path as HashStore/ShardedStore) backed by sorted
-// immutable runs of fingerprints on disk. When an insert pushes the hot
-// tier past SpillConfig.BudgetBytes, its fingerprints are sorted and
-// flushed to a new run file, and membership probes answer from the hot
-// tier first and then the disk runs (per-run bloom summaries keep
-// negative probes cheap; hits binary-search the file). When the run count
-// passes SpillConfig.MergeRuns, all runs are compacted into one.
+// exceed RAM: a sharded in-memory hot tier of 128-bit fingerprints (the
+// same fingerprint path as HashStore/ShardedStore, striped by the last
+// byte like ShardedStore) backed by sorted immutable runs of fingerprints
+// on disk. When an insert pushes the hot tier past SpillConfig.BudgetBytes,
+// its fingerprints are sorted and flushed to a new run file, and membership
+// probes answer from the hot tier first and then the disk runs (per-run
+// bloom summaries keep negative probes cheap; hits binary-search the
+// file). When the run count passes SpillConfig.MergeRuns, all runs are
+// compacted into one.
 //
 // SpillStore implements Store, BatchStore and HasStore, so every stateful
 // engine — BFS, DFS and ParallelBFS, batched and per-key insert paths,

@@ -108,37 +108,83 @@ func seenBatch(store Store, keys []string) []bool {
 	return dups
 }
 
-// 128-bit FNV-1a constants (matching hash/fnv): the offset basis and the
-// prime 2^88 + 0x13b.
+// MurmurHash3_x64_128 multiplication constants.
 const (
-	fnvOffset128Hi = 0x6c62272e07bb0142
-	fnvOffset128Lo = 0x62b821756295c58d
-	fnvPrime128Lo  = 0x13b
-	fnvPrime128Hi  = 24 // the prime's high part is 1 << (64 + 24)
+	murmurC1 = 0x87c37b91114253d5
+	murmurC2 = 0x4cf5ad432745937f
 )
 
-// fingerprint is the 128-bit FNV-1a sum of key, bit-identical to
-// hash/fnv's New128a but allocation-free: the stdlib hasher escapes to the
-// heap on every call, which dominated the profile of HashStore.Seen (one
-// hasher per visited-set probe). Both sequential stores and the sharded
-// concurrent store share this helper; ShardedStore additionally selects
-// its stripe from the last byte — FNV-1a mixes low-order bits first, so
-// the low byte is well distributed even for keys that differ only near
-// the end (state keys share long structural prefixes), while the high
-// byte would collapse them onto a few stripes.
+// fingerprint is the 128-bit MurmurHash3_x64_128 of key with seed 0, laid
+// out canonically: h1 little-endian in bytes 0–7, h2 in bytes 8–15. It is
+// the one state fingerprint every hashed store shares (HashStore,
+// ShardedStore, SpillStore's hot tier, runs and bloom, BitstateStore) and
+// the speculation memo's stripe selector, so it runs on every visited-set
+// probe: it consumes 16-byte blocks as two word loads (see le64) and never
+// allocates. The seed is fixed, unlike hash/maphash's per-process one, so
+// lossy coverage and spill order are the same on every run.
+//
+// The concurrent stores pick their stripe by fp[15], the top byte of h2.
+// After the finaliser every output bit depends on every input bit, so that
+// byte is uniform even across state keys that share long structural
+// prefixes and differ only in their last few bytes.
 func fingerprint(key string) [16]byte {
-	hi, lo := uint64(fnvOffset128Hi), uint64(fnvOffset128Lo)
-	for i := 0; i < len(key); i++ {
-		lo ^= uint64(key[i])
-		// Multiply the 128-bit state by the prime modulo 2^128.
-		carry, plo := bits.Mul64(fnvPrime128Lo, lo)
-		hi = carry + lo<<fnvPrime128Hi + fnvPrime128Lo*hi
-		lo = plo
+	var h1, h2 uint64
+	n := len(key)
+	i := 0
+	for ; i+16 <= n; i += 16 {
+		k1 := le64(key[i:])
+		k2 := le64(key[i+8:])
+		h1 ^= bits.RotateLeft64(k1*murmurC1, 31) * murmurC2
+		h1 = (bits.RotateLeft64(h1, 27)+h2)*5 + 0x52dce729
+		h2 ^= bits.RotateLeft64(k2*murmurC2, 33) * murmurC1
+		h2 = (bits.RotateLeft64(h2, 31)+h1)*5 + 0x38495ab5
 	}
-	var k [16]byte
-	binary.BigEndian.PutUint64(k[:8], hi)
-	binary.BigEndian.PutUint64(k[8:], lo)
-	return k
+	// Tail: the last n%16 bytes, little-endian, k1 from the first eight.
+	var k1, k2 uint64
+	tail := key[i:]
+	for j := len(tail) - 1; j >= 8; j-- {
+		k2 = k2<<8 | uint64(tail[j])
+	}
+	for j := min(len(tail), 8) - 1; j >= 0; j-- {
+		k1 = k1<<8 | uint64(tail[j])
+	}
+	if len(tail) > 8 {
+		h2 ^= bits.RotateLeft64(k2*murmurC2, 33) * murmurC1
+	}
+	if len(tail) > 0 {
+		h1 ^= bits.RotateLeft64(k1*murmurC1, 31) * murmurC2
+	}
+	h1 ^= uint64(n)
+	h2 ^= uint64(n)
+	h1 += h2
+	h2 += h1
+	h1 = mix64(h1)
+	h2 = mix64(h2)
+	h1 += h2
+	h2 += h1
+	var fp [16]byte
+	binary.LittleEndian.PutUint64(fp[:8], h1)
+	binary.LittleEndian.PutUint64(fp[8:], h2)
+	return fp
+}
+
+// le64 reads the first eight bytes of s little-endian; the compiler merges
+// the byte loads into one.
+func le64(s string) uint64 {
+	_ = s[7] // one bounds check for all eight loads
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// mix64 is MurmurHash3's 64-bit finaliser (fmix64): a bijective avalanche
+// that spreads every input bit over the whole word.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // ExactStore keeps full canonical keys: collision-free, memory-hungry.
@@ -171,8 +217,8 @@ func (s *ExactStore) Has(key string) bool {
 // Len implements Store.
 func (s *ExactStore) Len() int { return len(s.m) }
 
-// HashStore keeps 128-bit FNV-1a fingerprints instead of full keys,
-// trading a negligible collision probability for a large memory saving on
+// HashStore keeps 128-bit fingerprints instead of full keys, trading a
+// negligible collision probability for a large memory saving on
 // multi-million-state runs (the paper's larger table rows). The zero value
 // is ready to use.
 type HashStore struct {
