@@ -1,12 +1,10 @@
 # Development and CI entry points. `make ci` is what every CI matrix cell
 # runs: vet + build + full test suite (and its `long` half), plus the race
-# detector over the packages with concurrent code (the parallel search
-# engines, the spill-to-disk store, and the core they drive) and the
-# packages whose
-# tests exercise them (the POR ignoring-proviso matrix, the cyclic
-# protocol generators, the eval cells that run spill-backed parallel
-# searches, and the liveness layer whose oracle pins the parallel nested
-# DFS). `make fuzz` runs the native fuzz targets — the cross-engine
+# detector over the packages with concurrent code (the frontier-parallel
+# BFS engine with its sharded store, the spill-to-disk store, and the core
+# they drive) and the packages whose tests exercise them (the POR
+# ignoring-proviso matrix, the cyclic protocol generators, the eval cells
+# that run spill-backed searches, the liveness layer and DPOR). `make fuzz` runs the native fuzz targets — the cross-engine
 # differential harness and the fingerprint pin — for FUZZTIME each (CI
 # smokes them at 30s, with the corpus cached across runs so coverage
 # accumulates). `make bench-ci` is the determinism gate: a fixed-work

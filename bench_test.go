@@ -24,7 +24,6 @@ import (
 
 	"mpbasset"
 	"mpbasset/internal/core"
-	"mpbasset/internal/dpor"
 	"mpbasset/internal/eval"
 	"mpbasset/internal/explore"
 	"mpbasset/internal/liveness"
@@ -307,71 +306,6 @@ func BenchmarkStoreTier(b *testing.B) {
 			run(b, newStorage(b), explore.Options{Store: explore.NewBitstateStore(0, 0)})
 		}
 	})
-}
-
-// BenchmarkParallelDPOR compares the speculative parallel DPOR engine
-// across worker-pool sizes and steal depths on the bundled single-message
-// models — the configuration mpcheck -search dpor -workers runs. Every
-// configuration commits the identical stateless exploration (the engine is
-// bit-identical to sequential DPOR), so on runs that complete within the
-// budget states/op is constant and time/op isolates the speculation win:
-// the commit walk consumes worker-built expansion records instead of
-// re-executing events. Wall-clock gains need GOMAXPROCS > 1.
-func BenchmarkParallelDPOR(b *testing.B) {
-	targets := []struct {
-		name string
-		mk   func() (*core.Protocol, error)
-	}{
-		{"Paxos_131_single", func() (*core.Protocol, error) {
-			return paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle})
-		}},
-		{"Multicast_2101_single", func() (*core.Protocol, error) {
-			return multicast.New(multicast.Config{HonestReceivers: 2, HonestInitiators: 1, ByzantineInitiators: 1, Model: multicast.ModelSingle})
-		}},
-		{"Storage_31_single", func() (*core.Protocol, error) {
-			return storage.New(storage.Config{Objects: 3, Readers: 1, Model: storage.ModelSingle})
-		}},
-	}
-	type cfg struct {
-		name       string
-		workers    int
-		stealDepth int
-	}
-	cfgs := []cfg{
-		{"seq", 0, 0}, // sequential DPOR baseline
-		{"workers-1", 1, 0},
-		{"workers-4", 4, 0},
-		{"workers-8", 8, 0},
-		{"workers-4-steal-2", 4, 2},
-		{"workers-4-steal-32", 4, 32},
-	}
-	for _, tg := range targets {
-		for _, c := range cfgs {
-			b.Run(fmt.Sprintf("%s/%s", tg.name, c.name), func(b *testing.B) {
-				p, err := tg.mk()
-				if err != nil {
-					b.Fatal(err)
-				}
-				engine := dpor.Explore
-				if c.workers > 0 {
-					engine = dpor.ExploreParallel
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := engine(p, explore.Options{
-						Workers:     c.workers,
-						StealDepth:  c.stealDepth,
-						MaxDuration: benchBudget(),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(res.Stats.States), "states")
-					b.ReportMetric(float64(res.Stats.Events), "events")
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkSpillStoreOverhead quantifies the cost of the spill-to-disk

@@ -38,8 +38,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of the table layout")
 		outFile  = flag.String("out", "", "write the run's machine-readable report (all tables) to this file, e.g. BENCH_ci.json")
 		baseline = flag.String("baseline", "", "gate the run against this committed report (e.g. BENCH_baseline.json): exit 1 on verdict or state/event-count drift")
-		workers  = flag.Int("workers", 0, "run the stateful DFS and DPOR cells with this many speculative workers (0 = sequential)")
-		stealD   = flag.Int("steal-depth", 0, "events a parallel DFS/DPOR worker speculates below a stolen sibling or backtrack point (0 = default 8; needs -workers)")
 		memB     = flag.String("mem-budget", "", "visited-set memory budget per cell, e.g. 512M: past it, fingerprints spill to sorted runs on disk (empty = in-memory only)")
 		spillDir = flag.String("spill-dir", "", "directory for spill run files (default: a temporary directory per cell; needs -mem-budget)")
 		compress = flag.Bool("compress", false, "run the stateful cells with collapse compression (results bit-identical, only wall-clock moves)")
@@ -67,13 +65,12 @@ func main() {
 	}
 	opts := eval.Options{
 		Budget: *budget, MaxStates: *maxSt, Paper: *paper,
-		Workers: *workers, StealDepth: *stealD,
 		StoreBudgetBytes: memBudget, SpillDir: *spillDir,
 		Compress: *compress, Lossy: *lossy, BitstateBytes: bitstateBytes,
 	}
-	// One up-front pass through the facade's rule table, so -steal-depth
-	// without -workers, -spill-dir without -mem-budget or -lossy with the
-	// liveness table is rejected before any cell runs.
+	// One up-front pass through the facade's rule table, so -spill-dir
+	// without -mem-budget or -lossy with the liveness table is rejected
+	// before any cell runs.
 	if err := opts.Validate(*table == 0 || *table == 3); err != nil {
 		fail(err)
 	}

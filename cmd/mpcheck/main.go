@@ -57,10 +57,9 @@ func check(args []string, stdout, stderr io.Writer) (int, error) {
 		trace    = fs.Bool("trace", false, "print the annotated counterexample trace, if any")
 		budget   = fs.Duration("budget", 5*time.Minute, "wall-clock limit")
 		maxSt    = fs.Int("max-states", 0, "state limit (0 = unlimited)")
-		workers  = fs.Int("workers", 0, "parallelize the search with this many workers: spor/unreduced/dfs run speculative parallel DFS, bfs runs frontier-parallel BFS, dpor runs speculative parallel DPOR (0 = sequential)")
+		workers  = fs.Int("workers", 0, "run -search bfs as frontier-parallel BFS with this many workers (0 = sequential); every other search is one sequential walk and ignores it")
 		chunk    = fs.Int("chunk", 0, "frontier nodes a parallel BFS worker claims per grab (0 = adaptive; needs -workers with -search bfs)")
 		batch    = fs.Int("batch", 0, "successor keys a parallel BFS worker buffers per batched visited-set insert (0 = default 64; needs -workers with -search bfs)")
-		stealD   = fs.Int("steal-depth", 0, "events a parallel DFS/DPOR worker speculates below a stolen sibling or backtrack point before stealing afresh (0 = default 8; needs -workers with a DFS or dpor search)")
 		property = fs.String("property", "", "check this liveness property instead of the safety invariant: decided (paxos, faulty-paxos) | delivered (multicast) | reads-complete (storage); runs nested DFS, so it needs a DFS search (spor, unreduced, dfs)")
 		fair     = fs.Bool("fair", false, "restrict liveness counterexamples to weakly fair schedules (needs -property; forces full expansion — the fairness monitor observes every transition)")
 		memB     = fs.String("mem-budget", "", "visited-set memory budget, e.g. 512M or 2G: past it, fingerprints spill to sorted runs on disk (empty = in-memory only; spor, unreduced and bfs searches)")
@@ -79,7 +78,6 @@ func check(args []string, stdout, stderr io.Writer) (int, error) {
 		Workers:     *workers,
 		ChunkSize:   *chunk,
 		BatchSize:   *batch,
-		StealDepth:  *stealD,
 		SpillDir:    *spillDir,
 		Compress:    *compress,
 		Lossy:       *lossy,

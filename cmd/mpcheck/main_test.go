@@ -28,7 +28,7 @@ func TestVerifiedRun(t *testing.T) {
 		"symmetry group: 6 permutations\n",
 		"checking Paxos(1,3,1)",
 		"[spor, unsplit]",
-		"workers:   2 (speculative parallel DFS)\n",
+		"workers:   2 (DFS)\n",
 		"verdict:   Verified\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -121,7 +121,7 @@ func TestRejectedFlagSets(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-search", "stateless", "-workers", "2"}, "mpcheck: mpbasset: Workers (-workers) is not supported by SearchStateless"},
+		{[]string{"-search", "bfs", "-chunk", "4"}, "mpcheck: mpbasset: ChunkSize (-chunk) requires Workers (-workers)"},
 		{[]string{"-lossy", "-property", "decided"}, "mpcheck: mpbasset: Lossy (-lossy) is incompatible with Property (-property)"},
 		{[]string{"-search", "dfs", "-workers", "2", "-chunk", "4"}, "mpcheck: mpbasset: ChunkSize (-chunk) requires SearchBFS"},
 		{[]string{"-fair"}, "mpcheck: -fair requires -property"},

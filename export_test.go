@@ -10,3 +10,13 @@ func RuleMessages() []string {
 	}
 	return msgs
 }
+
+// EngineNames returns the engines table's names in table order, so the
+// external tests can check README's engine matrix against it.
+func EngineNames() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
+	}
+	return names
+}

@@ -60,8 +60,8 @@ type enumScratch struct {
 	pick  []Message // the candidate set handed to the guard
 }
 
-// enumPool lets concurrent Enabled callers (ParallelBFS workers,
-// speculators) each work on a scratch of their own.
+// enumPool lets concurrent Enabled callers (ParallelBFS workers) each work
+// on a scratch of their own.
 var enumPool = sync.Pool{New: func() any { return new(enumScratch) }}
 
 func (sc *enumScratch) appendEventsFor(out []Event, t *Transition, s *State) []Event {

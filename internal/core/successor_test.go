@@ -96,7 +96,7 @@ func TestSuccessorAllocations(t *testing.T) {
 }
 
 // TestConcurrentExecuteAndKey shares states between goroutines the way the
-// speculative engines do: executors build different successors of one
+// ParallelBFS workers do: executors build different successors of one
 // parent, and of each other's successors, while readers take Key and
 // ComponentKeys of the same states for the first time. Every key must be
 // the one a single goroutine computes; `make race` runs this under the

@@ -11,7 +11,7 @@ import (
 // top frame: its vector clock (program order joined with the clocks of the
 // send events of its consumed messages) and sent, the keys of the messages
 // it sent (the caller derives them with sentKeys from the bag difference
-// to the successor state, or replays them from a speculative record).
+// to the successor state).
 func (e *engine) recordExecution(ev core.Event, sent []string) {
 	f := &e.stack[len(e.stack)-1]
 	n := e.p.N
@@ -131,7 +131,7 @@ func (e *engine) raceAt(ev core.Event, avail []int, d int) raceOutcome {
 		return raceContinue
 	}
 	if _, ok := g.keys[ev.Key()]; ok {
-		e.addBacktrack(g, ev.Key())
+		g.backtrack[ev.Key()] = true
 		return raceFound
 	}
 	// ev was not executable at d (guard or quorum not yet satisfiable
@@ -139,9 +139,9 @@ func (e *engine) raceAt(ev core.Event, avail []int, d int) raceOutcome {
 	// Flanagan–Godefroid's "add all enabled processes" fallback. (A
 	// restriction to ev-dependent events looks tempting but loses
 	// interleavings — the generated-protocol validation suite catches it.)
-	//lint:nondet-ok order-free set union: every key is inserted and insertion commutes; the publish order speculative workers see varies with it, but records are pure, so only scheduling — never results — is affected
+	//lint:nondet-ok order-free set union: every key is inserted and insertion commutes
 	for k := range g.keys {
-		e.addBacktrack(g, k)
+		g.backtrack[k] = true
 	}
 	return raceFound
 }

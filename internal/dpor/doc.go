@@ -15,22 +15,12 @@
 // the Basset/DPOR column. And as in Basset, quorum transitions are not
 // supported: Explore rejects protocols that declare any (Table I, fn. 2).
 //
-// # Speculation and commit
+// # One walk
 //
-// Explore and ExploreParallel are one walk (engine.run): sequential DPOR,
-// which takes a state's expansion record from the speculation kernel of
-// package explore (explore.Speculation) when one is attached and computes
-// it inline otherwise. ExploreParallel attaches the kernel; this package
-// supplies only what is DPOR's own (spec.go): the steal target — a
-// backtrack point the walk has scheduled at a frame it has not returned to
-// yet, which a worker executes to get a state — and the record — enabled
-// events, executed successors, invariant checks and sent-message keys, all
-// deterministic functions of a state alone. The memo, the steal queue, the
-// worker pool and the steal loop are the kernel's. Everything
-// path-dependent (vector clocks, race detection, backtrack and sleep sets)
-// stays inside the walk, so a record can be missing but never wrong, and
-// verdicts, deterministic statistics and counterexample traces are
-// bit-identical to Explore for any worker count.
+// Explore is one sequential walk (engine.run). Everything path-dependent —
+// vector clocks, race detection, backtrack and sleep sets — lives on its
+// stack, and Options.Workers is ignored: the facade parallelizes only
+// SearchBFS.
 //
 // In the store matrix (see package explore's doc), DPOR occupies the
 // no-store column: statelessness is not an implementation detail but the

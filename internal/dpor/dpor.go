@@ -38,7 +38,7 @@ func ExploreWith(p *core.Protocol, opts explore.Options, cfg Config) (*explore.R
 
 // analyze finalizes and validates the protocol for DPOR — rejecting quorum
 // transitions, which DPOR cannot reduce soundly — and builds the
-// dependence analysis. Shared by the sequential and parallel entry points.
+// dependence analysis.
 func analyze(p *core.Protocol) (*por.Analysis, error) {
 	if err := p.Finalize(); err != nil {
 		return nil, err
@@ -86,11 +86,6 @@ type frame struct {
 	executed core.Event
 	clock    []int    // vector clock of the executed event
 	sent     []string // message keys the executed event sent
-	// rec is the speculative expansion record this frame's state was pushed
-	// with, when ExploreParallel's workers got there first; nil under
-	// sequential search and on memo misses. Its succs are indexed parallel
-	// to enabled.
-	rec *specRecord
 }
 
 type engine struct {
@@ -106,17 +101,11 @@ type engine struct {
 	// pending is raceCheckPending's message-matching scratch.
 	pending []core.Message
 	res     explore.Result
-	// spec is the speculation kernel, set only by ExploreParallel: push
-	// takes worker-built expansion records from it, addBacktrack publishes
-	// newly scheduled backtrack points to it as steal targets. Nil runs the
-	// walk sequentially.
-	spec *explore.Speculation[specTarget, specRecord]
 }
 
 func (e *engine) run() (*explore.Result, error) {
 	lim := newLimits(e.opts)
 	defer func() { e.res.Stats.Duration = lim.elapsed() }()
-	defer e.spec.Close(&e.res.Stats)
 	e.sendClocks = make(map[string][][]int)
 
 	init, err := e.p.InitialState()
@@ -143,39 +132,15 @@ func (e *engine) run() (*explore.Result, error) {
 			continue
 		}
 		f.done[key] = true
-		idx := f.keys[key]
-		ev := f.enabled[idx]
-		// A frame pushed with a speculative record replays the memoized
-		// successor — Execute result, sent-message keys and invariant check
-		// are pure functions of (state, event), so the record equals what
-		// the inline computation below would produce.
-		var ns *core.State
-		var sent []string
-		var verr error
-		fromRec := false
-		if f.rec != nil {
-			sc := &f.rec.succs[idx]
-			if sc.err != nil {
-				return nil, sc.err
-			}
-			ns, sent, verr, fromRec = sc.st, sc.sent, sc.verr, true
-		} else {
-			var err error
-			ns, err = e.p.Execute(f.state, ev)
-			if err != nil {
-				return nil, err
-			}
+		ev := f.enabled[f.keys[key]]
+		ns, err := e.p.Execute(f.state, ev)
+		if err != nil {
+			return nil, err
 		}
 		e.res.Stats.Events++
 		e.updateRaces(ev)
-		if !fromRec {
-			sent = sentKeys(f.state, ns, ev)
-		}
-		e.recordExecution(ev, sent)
-		if !fromRec {
-			verr = e.p.CheckInvariant(ns)
-		}
-		if verr != nil {
+		e.recordExecution(ev, sentKeys(f.state, ns, ev))
+		if verr := e.p.CheckInvariant(ns); verr != nil {
 			e.res.Stats.States++
 			e.res.Verdict = explore.VerdictViolated
 			e.res.Violation = verr
@@ -254,27 +219,17 @@ func (e *engine) backtrackDisabled(ev core.Event) {
 			continue
 		}
 		if _, still := child.keys[k]; !still {
-			e.addBacktrack(parent, k)
+			parent.backtrack[k] = true
 		}
 	}
 }
 
-// push enters a new state: computes its enabled events — consuming a
-// speculative expansion record when a parallel worker got there first —
-// and seeds the backtrack set with a single event (highest transition
-// priority, then enumeration order) — the defining move of DPOR.
+// push enters a new state: computes its enabled events and seeds the
+// backtrack set with a single event (highest transition priority, then
+// enumeration order) — the defining move of DPOR.
 func (e *engine) push(s *core.State) {
 	e.res.Stats.States++
-	var rec *specRecord
-	if e.spec != nil {
-		rec = e.spec.Take(s.Key())
-	}
-	var enabled []core.Event
-	if rec != nil {
-		enabled = rec.enabled
-	} else {
-		enabled = e.p.Enabled(s)
-	}
+	enabled := e.p.Enabled(s)
 	f := frame{
 		state:     s,
 		enabled:   enabled,
@@ -282,7 +237,6 @@ func (e *engine) push(s *core.State) {
 		backtrack: make(map[string]bool, 1),
 		done:      make(map[string]bool, 1),
 		sleep:     make(map[string]core.Event),
-		rec:       rec,
 	}
 	for i, ev := range enabled {
 		f.keys[ev.Key()] = i
@@ -340,22 +294,6 @@ func (e *engine) pop() {
 		// The parent's executed-event bookkeeping is cleared so the next
 		// sibling records fresh clocks.
 		e.unrecordExecution(parent)
-	}
-}
-
-// addBacktrack schedules event key k for exploration at frame g. Under
-// ExploreParallel, a point that is genuinely new and not yet explored is
-// also published as a steal target — it is the root of a subtree the
-// commit walk will re-explore once it returns to g, which a speculative
-// worker can expand in the meantime. (The seed event push schedules is not
-// published: the walk executes it on its very next iteration.)
-func (e *engine) addBacktrack(g *frame, k string) {
-	if g.backtrack[k] {
-		return
-	}
-	g.backtrack[k] = true
-	if e.spec != nil && !g.done[k] {
-		e.spec.Publish(specTarget{st: g.state, ev: g.enabled[g.keys[k]]})
 	}
 }
 

@@ -1,6 +1,7 @@
 package dpor
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -76,8 +77,47 @@ func TestDPORRejectsQuorumModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Explore(p, explore.Options{}); err == nil {
+	_, err = Explore(p, explore.Options{})
+	if err == nil {
 		t.Fatal("DPOR must reject quorum models (as Basset does)")
+	}
+	if !strings.Contains(err.Error(), "-model single") {
+		t.Errorf("quorum rejection %q does not name the -model single spelling", err)
+	}
+}
+
+// TestDPORTraceReplayVerifiesStateKeys pins the counterexample on the
+// paper's deliberately wrong storage specification: the trace replays to a
+// state that genuinely violates the invariant, every step records the
+// post-step state key, and a mangled key is caught by explore.Replay's
+// canon cross-check instead of slipping through with nothing to verify.
+func TestDPORTraceReplayVerifiesStateKeys(t *testing.T) {
+	p := newStorage(t, storage.Config{Objects: 3, Readers: 2, WrongRegularity: true, Model: storage.ModelSingle})
+	res, err := Explore(p, explore.Options{MaxDuration: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != explore.VerdictViolated || len(res.Trace) == 0 {
+		t.Fatalf("expected a violation with a trace, got %s (trace %d)", res.Verdict, len(res.Trace))
+	}
+	if _, err := explore.ReplayViolation(p, res.Trace, nil); err != nil {
+		t.Fatalf("genuine DPOR trace rejected: %v", err)
+	}
+	for _, step := range res.Trace {
+		if step.StateKey == "" {
+			t.Fatal("DPOR trace step with empty StateKey — the replay cross-check has nothing to verify")
+		}
+	}
+	for _, corrupt := range []int{0, len(res.Trace) - 1} {
+		mangled := append([]explore.Step(nil), res.Trace...)
+		mangled[corrupt].StateKey = "bogus|" + mangled[corrupt].StateKey
+		_, err := explore.Replay(p, mangled, nil)
+		if err == nil {
+			t.Fatalf("corrupted DPOR trace step %d accepted", corrupt)
+		}
+		if !strings.Contains(err.Error(), "state key mismatch") {
+			t.Errorf("corrupted step %d: error %q, want a state key mismatch", corrupt, err)
+		}
 	}
 }
 

@@ -90,18 +90,15 @@ var DeterministicStatsFields = []string{
 
 // VolatileStatsFields lists the explore.Stats fields explicitly excluded
 // from the determinism guarantee — wall-clock time, the spill tier's
-// storage-effort counters, whose values depend on insert timing, the
-// speculation kernel's counters, whose values depend on worker
-// scheduling, and the lossy bitstate coverage figures, whose values depend
-// on which colliding state reached the store first — and therefore masked
-// before any cross-run or cross-engine comparison.
+// storage-effort counters, whose values depend on insert timing, and the
+// lossy bitstate coverage figures, whose values depend on which colliding
+// state reached the store first — and therefore masked before any
+// cross-run or cross-engine comparison.
 var VolatileStatsFields = []string{
 	"Duration",
 	"SpillRuns",
 	"SpillBytes",
 	"DiskProbes",
-	"SpeculatedVisits",
-	"SpeculationHits",
 	"BitstateFill",
 	"BitstateOmission",
 }

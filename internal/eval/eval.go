@@ -23,20 +23,6 @@ type Options struct {
 	// defaults are reduced); currently this enables the Echo Multicast
 	// (3,1,1,1) row of Table II and doubles the Paxos ballots.
 	Paper bool
-	// Workers > 0 runs the stateful cells (SPOR, unreduced) with the
-	// speculative parallel DFS engine and the DPOR cells with the
-	// speculative parallel DPOR engine, each with that many workers —
-	// sound on any model (the DFS commit walk enforces the stack variant
-	// of the ignoring proviso; the DPOR commit walk replays the sequential
-	// exploration verbatim) and bit-identical to the sequential cells:
-	// verdicts, state and event counts never change, only wall-clock.
-	Workers int
-	// StealDepth bounds one stolen subtree's speculation in the parallel
-	// DFS and DPOR cells (events below a stolen sibling or backtrack
-	// point before the worker steals afresh); 0 selects the engine
-	// default. It never changes cell results, only throughput, and the
-	// facade rejects it without Workers.
-	StealDepth int
 	// StoreBudgetBytes > 0 runs the stateful cells over the facade's
 	// two-tier spill store: the visited set's in-memory hot tier is bounded
 	// by the budget and spills sorted fingerprint runs to disk. Cell
@@ -104,8 +90,6 @@ func (o Options) facade(search mpbasset.Search) mpbasset.Options {
 		Search:           search,
 		MaxStates:        o.MaxStates,
 		MaxDuration:      o.budget(),
-		Workers:          o.Workers,
-		StealDepth:       o.StealDepth,
 		StoreBudgetBytes: o.StoreBudgetBytes,
 		SpillDir:         o.SpillDir,
 		Compress:         o.Compress,
@@ -150,16 +134,14 @@ func run(column string, p *core.Protocol, mo mpbasset.Options) Cell {
 }
 
 // RunSPOR is the standard stateful DFS + static POR cell used across both
-// tables (speculative parallel DFS when Options.Workers is set).
+// tables.
 func RunSPOR(column string, p *core.Protocol, opts Options) Cell {
 	return run(column, p, opts.facade(mpbasset.SearchSPOR))
 }
 
-// RunDPOR is the stateless dynamic-POR cell (single-message models only);
-// speculative parallel DPOR when Options.Workers is set, with results
-// bit-identical to the sequential engine. DPOR keeps no visited set, so
-// the cell drops the store options instead of passing them to the facade,
-// which would reject them.
+// RunDPOR is the stateless dynamic-POR cell (single-message models only).
+// DPOR keeps no visited set, so the cell drops the store options instead
+// of passing them to the facade, which would reject them.
 func RunDPOR(column string, p *core.Protocol, opts Options) Cell {
 	mo := opts.facade(mpbasset.SearchDPOR)
 	mo.StoreBudgetBytes, mo.SpillDir = 0, ""

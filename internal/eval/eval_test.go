@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"mpbasset/internal/core"
 	"mpbasset/internal/explore"
-	"mpbasset/internal/liveness"
 	"mpbasset/internal/protocols/multicast"
 	"mpbasset/internal/protocols/paxos"
 )
@@ -16,7 +14,12 @@ func TestTable1VerdictsMatchPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table generation is slow")
 	}
-	rows, err := Table1(Options{Budget: 5 * time.Second})
+	// The state cap makes the cells that cannot finish (Paxos(2,3,1) under
+	// DPOR) stop at fixed work instead of at the wall budget. It sits above
+	// the largest cell that reaches a verdict, Echo Multicast (3,0,1,1)
+	// DPOR at 403 336 states, so every such cell still does; Verify skips
+	// Limit cells, so a lower cap would check less.
+	rows, err := Table1(Options{Budget: 5 * time.Second, MaxStates: 500000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,41 +30,15 @@ func TestTable1VerdictsMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		// DPOR rows carry a fourth cell: the 2-worker parallel DPOR run
-		// that rides along so the bench gate continuously compares the
-		// parallel engine against the sequential cell.
-		want := 3
-		if r.Cells[0].Column == "no-quorum DPOR" {
-			want = 4
-		}
-		if len(r.Cells) != want {
-			t.Fatalf("%s %s: %d cells, want %d columns", r.Protocol, r.Setting, len(r.Cells), want)
-		}
-	}
-	// The parallel DPOR cell must be bit-identical to the sequential one
-	// (compared only when both completed: a wall-clock budget truncates
-	// each run at a timing-dependent point).
-	for _, r := range rows {
-		if r.Cells[0].Column != "no-quorum DPOR" {
-			continue
-		}
-		seq, par := r.Cells[0], r.Cells[1]
-		if par.Column != "no-quorum DPOR-p2" {
-			t.Fatalf("%s %s: cell 1 is %q, want no-quorum DPOR-p2", r.Protocol, r.Setting, par.Column)
-		}
-		if seq.Verdict != explore.VerdictVerified || par.Verdict != explore.VerdictVerified {
-			continue
-		}
-		if par.States != seq.States || par.Events != seq.Events {
-			t.Errorf("%s %s: parallel DPOR states/events %d/%d diverge from sequential %d/%d",
-				r.Protocol, r.Setting, par.States, par.Events, seq.States, seq.Events)
+		if len(r.Cells) != 3 {
+			t.Fatalf("%s %s: %d cells, want 3 columns", r.Protocol, r.Setting, len(r.Cells))
 		}
 	}
 	// The headline claim: the quorum model explores fewer states than the
 	// single-message model under the same reduction, on every exhaustive
 	// verification row.
 	for _, r := range rows {
-		spor, quorum := r.Cells[len(r.Cells)-2], r.Cells[len(r.Cells)-1]
+		spor, quorum := r.Cells[1], r.Cells[2]
 		if spor.Verdict != explore.VerdictVerified || quorum.Verdict != explore.VerdictVerified {
 			continue
 		}
@@ -107,35 +84,33 @@ func TestTable2VerdictsAndShape(t *testing.T) {
 
 // TestCellsUnderMemoryBudget pins the eval layer's spill plumbing: a SPOR
 // cell and an unreduced cell run under a tiny memory budget must report
-// the same verdict, state and event counts as their in-memory runs —
-// sequential and parallel — and the per-cell spill store must not leak
-// into the next cell (each run closes its own).
+// the same verdict, state and event counts as their in-memory runs, and
+// the per-cell spill store must not leak into the next cell (each run
+// closes its own).
 func TestCellsUnderMemoryBudget(t *testing.T) {
 	p, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 4} {
-		base := Options{Budget: time.Minute, Workers: workers}
-		budgeted := base
-		budgeted.StoreBudgetBytes = 2048
-		budgeted.SpillDir = t.TempDir()
-		for _, cell := range []struct {
-			name string
-			run  func(Options) Cell
-		}{
-			{"spor", func(o Options) Cell { return RunSPOR("spor", p, o) }},
-			{"unreduced", func(o Options) Cell { return RunUnreduced("unreduced", p, o) }},
-		} {
-			ref := cell.run(base)
-			got := cell.run(budgeted)
-			if ref.Err != nil || got.Err != nil {
-				t.Fatalf("workers=%d %s: errors %v / %v", workers, cell.name, ref.Err, got.Err)
-			}
-			if got.Verdict != ref.Verdict || got.States != ref.States || got.Events != ref.Events {
-				t.Errorf("workers=%d %s: budgeted cell %s states=%d events=%d, in-memory %s states=%d events=%d",
-					workers, cell.name, got.Verdict, got.States, got.Events, ref.Verdict, ref.States, ref.Events)
-			}
+	base := Options{Budget: time.Minute}
+	budgeted := base
+	budgeted.StoreBudgetBytes = 2048
+	budgeted.SpillDir = t.TempDir()
+	for _, cell := range []struct {
+		name string
+		run  func(Options) Cell
+	}{
+		{"spor", func(o Options) Cell { return RunSPOR("spor", p, o) }},
+		{"unreduced", func(o Options) Cell { return RunUnreduced("unreduced", p, o) }},
+	} {
+		ref := cell.run(base)
+		got := cell.run(budgeted)
+		if ref.Err != nil || got.Err != nil {
+			t.Fatalf("%s: errors %v / %v", cell.name, ref.Err, got.Err)
+		}
+		if got.Verdict != ref.Verdict || got.States != ref.States || got.Events != ref.Events {
+			t.Errorf("%s: budgeted cell %s states=%d events=%d, in-memory %s states=%d events=%d",
+				cell.name, got.Verdict, got.States, got.Events, ref.Verdict, ref.States, ref.Events)
 		}
 	}
 }
@@ -221,45 +196,31 @@ func TestLivenessTableVerdictsAndShape(t *testing.T) {
 	}
 }
 
-// TestLivenessCellsParallelAndSpilled pins RunNDFS's engine plumbing on
-// one small model: the parallel and spill-backed cells reproduce the
-// sequential in-memory cell's verdict and counts bit-identically, for both
-// reduction modes.
-func TestLivenessCellsParallelAndSpilled(t *testing.T) {
+// TestLivenessCellsSpilled pins RunNDFS's store plumbing on one small
+// model: the spill-backed cell reproduces the in-memory cell's verdict and
+// counts bit-identically, for both reduction modes.
+func TestLivenessCellsSpilled(t *testing.T) {
 	cfg := multicast.Config{HonestReceivers: 2, HonestInitiators: 1, ByzantineReceivers: 0, ByzantineInitiators: 1}
-	build := func() (*core.Protocol, *liveness.Property, error) {
-		p, err := multicast.New(cfg)
-		return p, multicast.Delivers(cfg), err
-	}
-	base := Options{Budget: time.Minute}
 	for _, reduced := range []bool{false, true} {
-		p, prop, err := build()
+		p, err := multicast.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := RunNDFS("ref", p, prop, reduced, base)
+		ref := RunNDFS("ref", p, multicast.Delivers(cfg), reduced, Options{Budget: time.Minute})
 		if ref.Err != nil {
 			t.Fatalf("reduced=%v: %v", reduced, ref.Err)
 		}
-		for _, alt := range []struct {
-			name string
-			opts Options
-		}{
-			{"workers-4", Options{Budget: time.Minute, Workers: 4}},
-			{"spill-1KiB", Options{Budget: time.Minute, StoreBudgetBytes: 1 << 10, SpillDir: t.TempDir()}},
-		} {
-			p, prop, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := RunNDFS(alt.name, p, prop, reduced, alt.opts)
-			if c.Err != nil {
-				t.Fatalf("reduced=%v %s: %v", reduced, alt.name, c.Err)
-			}
-			if c.Verdict != ref.Verdict || c.States != ref.States || c.Events != ref.Events {
-				t.Errorf("reduced=%v %s: %s states=%d events=%d, sequential in-memory %s states=%d events=%d",
-					reduced, alt.name, c.Verdict, c.States, c.Events, ref.Verdict, ref.States, ref.Events)
-			}
+		p, err = multicast.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := RunNDFS("spill", p, multicast.Delivers(cfg), reduced, Options{Budget: time.Minute, StoreBudgetBytes: 1 << 10, SpillDir: t.TempDir()})
+		if c.Err != nil {
+			t.Fatalf("reduced=%v: %v", reduced, c.Err)
+		}
+		if c.Verdict != ref.Verdict || c.States != ref.States || c.Events != ref.Events {
+			t.Errorf("reduced=%v: spilled %s states=%d events=%d, in-memory %s states=%d events=%d",
+				reduced, c.Verdict, c.States, c.Events, ref.Verdict, ref.States, ref.Events)
 		}
 	}
 }
@@ -315,9 +276,9 @@ func TestStoreOptionsPerCell(t *testing.T) {
 				opts, c.Verdict, c.States, c.Events, c.Err, ref.Verdict, ref.States, ref.Events)
 		}
 	}
-	if c := RunSPOR("spor", single, Options{Budget: time.Minute, StealDepth: 4}); c.Err == nil ||
-		!strings.Contains(c.Err.Error(), "StealDepth (-steal-depth) requires Workers (-workers)") {
-		t.Errorf("StealDepth without Workers: err %v, want the facade's rejection", c.Err)
+	if c := RunSPOR("spor", single, Options{Budget: time.Minute, BitstateBytes: 1 << 10}); c.Err == nil ||
+		!strings.Contains(c.Err.Error(), "BitstateBytes (-bitstate-bytes) requires Lossy (-lossy)") {
+		t.Errorf("BitstateBytes without Lossy: err %v, want the facade's rejection", c.Err)
 	}
 
 	limits := Options{Budget: time.Minute, MaxStates: 300}
@@ -327,7 +288,7 @@ func TestStoreOptionsPerCell(t *testing.T) {
 	}
 	noisy, err := StoreTierTable(Options{
 		Budget: time.Minute, MaxStates: 300,
-		Workers: 4, StealDepth: 2, Lossy: true, Compress: true,
+		Lossy: true, Compress: true,
 	})
 	if err != nil {
 		t.Fatal(err)

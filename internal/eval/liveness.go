@@ -16,9 +16,8 @@ import (
 // condition C2) and checks it by nested DFS — SPOR-reduced when reduced is
 // true, full expansion otherwise. Under weak fairness the engines force full
 // expansion regardless, so a reduced fair cell equals its unreduced twin.
-// Workers and the spill-store budget apply exactly as in the safety cells
-// (speculative parallel NDFS, bit-identical to the sequential engine);
-// Lossy is rejected — nested DFS needs an exact visited set.
+// The spill-store budget applies exactly as in the safety cells; Lossy is
+// rejected — nested DFS needs an exact visited set.
 func RunNDFS(column string, p *core.Protocol, prop *liveness.Property, reduced bool, opts Options) Cell {
 	search := mpbasset.SearchUnreduced
 	if reduced {

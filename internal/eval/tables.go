@@ -108,10 +108,9 @@ func targets(opts Options) []target {
 }
 
 // Table1 reproduces the paper's Table I (quorum semantics): per target, the
-// single-message model under stateless DPOR — sequential plus a 2-worker
-// speculative parallel cell — (or unreduced stateful search where the paper
-// used it), the single-message model under SPOR, and the quorum model under
-// SPOR.
+// single-message model under stateless DPOR (or unreduced stateful search
+// where the paper used it), the single-message model under SPOR, and the
+// quorum model under SPOR.
 func Table1(opts Options) ([]Row, error) {
 	var rows []Row
 	for _, tg := range targets(opts) {
@@ -134,12 +133,6 @@ func Table1(opts Options) ([]Row, error) {
 			row.Cells = append(row.Cells, c)
 		} else {
 			row.Cells = append(row.Cells, RunDPOR("no-quorum DPOR", sp, opts))
-			// A 2-worker speculative parallel DPOR cell rides along so the
-			// bench gate continuously checks the parallel engine against the
-			// sequential cell above (bit-identical counts by construction).
-			p2 := opts
-			p2.Workers, p2.StealDepth = 2, 0
-			row.Cells = append(row.Cells, RunDPOR("no-quorum DPOR-p2", sp, p2))
 		}
 		row.Cells = append(row.Cells,
 			RunSPOR("no-quorum SPOR", sp, opts),

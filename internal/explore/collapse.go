@@ -28,13 +28,13 @@ import (
 // determinism guarantee for verdicts and every counter is untouched. What
 // DOES change is the key strings themselves: IDs are assigned in
 // first-seen order, so compressed keys are run-internal names (and, under
-// the parallel engines, not reproducible across worker counts). Trace
+// ParallelBFS, not reproducible across worker counts). Trace
 // consumers that need real canonical keys decompress them with Expand —
 // the mpbasset facade does this on every returned trace, restoring
 // bit-identical traces across worker counts.
 //
-// Canon is safe for concurrent use (the parallel engines' workers
-// canonicalize speculatively); lookups of already-interned components take
+// Canon is safe for concurrent use (ParallelBFS workers canonicalize
+// concurrently); lookups of already-interned components take
 // a read lock only. Use one Collapser per run: sharing one across runs is
 // sound (the mapping stays injective) but lets the table grow without
 // bound.

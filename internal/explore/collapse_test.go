@@ -142,21 +142,21 @@ func TestCollapserTraceExpansion(t *testing.T) {
 }
 
 // TestCollapserParallel pins that the compressed canon is safe under the
-// speculative parallel engines and changes nothing the determinism
-// guarantee covers: ParallelDFS over a collapser matches sequential DFS
-// over its own collapser on verdicts and deterministic stats for any
-// worker count. (Compressed trace keys are first-seen-order intern IDs and
-// so are NOT comparable across worker counts — that is exactly why the
-// facade expands them.)
+// parallel BFS engine and changes nothing the determinism guarantee
+// covers: ParallelBFS over a collapser matches sequential BFS over its own
+// collapser on verdicts and deterministic stats for any worker count.
+// (Compressed trace keys are first-seen-order intern IDs and so are NOT
+// comparable across worker counts — that is exactly why the facade
+// expands them.)
 func TestCollapserParallel(t *testing.T) {
 	verified, violating := collapseModels(t)
 	for _, p := range []*core.Protocol{verified, violating} {
-		ref, err := explore.DFS(p, explore.Options{Store: explore.NewHashStore(), Canon: explore.NewCollapser().Canon})
+		ref, err := explore.BFS(p, explore.Options{Store: explore.NewHashStore(), Canon: explore.NewCollapser().Canon})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			res, err := explore.ParallelDFS(p, explore.Options{
+			res, err := explore.ParallelBFS(p, explore.Options{
 				Workers: workers,
 				Store:   explore.NewShardedHashStore(),
 				Canon:   explore.NewCollapser().Canon,

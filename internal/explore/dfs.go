@@ -10,77 +10,10 @@ type dfsSucc struct {
 	key string
 }
 
-// dfsInv is a speculator's pre-computed invariant check of one successor.
-type dfsInv struct {
-	checked bool
-	verr    error
-}
-
-// dfsRecord is the expansion record of one state: everything the DFS walk
-// needs to expand the state, whether it was just built inline or memoized
-// ahead of time by a ParallelDFS speculator. Records are pure functions of
-// the state (Enabled, Expand, Execute and canonicalization are
-// deterministic and read-only), which is what makes them safe to
-// precompute out of order.
-type dfsRecord struct {
-	// src is the state the record was built from. The proviso promotion
-	// re-executes the full enabled set against it, never against another
-	// instance of the same canonical key, so a record stays internally
-	// consistent even under a canonicalizing Canon (symmetry orbits).
-	src      *core.State
-	deadlock bool
-	reduced  bool
-	// enabled is the full enabled-event set, retained only for reduced
-	// expansions so the stack proviso can promote them without recomputing
-	// Enabled.
-	enabled []core.Event
-	succs   []dfsSucc
-	// inv runs parallel to succs once a speculator has pre-checked the
-	// record, and is nil on inline builds, where the walk checks every
-	// invariant itself.
-	inv []dfsInv
-	// err is a deferred Execute failure; it is surfaced when (and only
-	// when) the walk actually expands the state.
-	err error
-}
-
-// dfsBuild computes a state's expansion record: enabled events, the
-// expander's chosen subset, and the executed successors.
-func dfsBuild(p *core.Protocol, s *core.State, exp Expander, canon func(*core.State) string, prov Proviso) dfsRecord {
-	rec := dfsRecord{src: s}
-	enabled := p.Enabled(s)
-	if len(enabled) == 0 {
-		rec.deadlock = true
-		return rec
-	}
-	chosen := exp.Expand(s, enabled, prov)
-	rec.reduced = len(chosen) < len(enabled)
-	if rec.reduced {
-		rec.enabled = enabled
-	}
-	rec.succs, rec.err = execAll(p, s, chosen, canon)
-	return rec
-}
-
-// precheck is the speculators' extra step: it runs the invariant on the
-// record's successors ahead of the walk, except on those the probe already
-// reports as visited, which the walk can only revisit.
-func (rec *dfsRecord) precheck(p *core.Protocol, probe func(string) bool) {
-	rec.inv = make([]dfsInv, len(rec.succs))
-	for i := range rec.succs {
-		sc := &rec.succs[i]
-		if probe != nil && probe(sc.key) {
-			continue
-		}
-		rec.inv[i] = dfsInv{checked: true, verr: p.CheckInvariant(sc.st)}
-	}
-}
-
 type dfsFrame struct {
 	key   string
 	via   core.Event // event that led into this frame (zero for the root)
 	succs []dfsSucc
-	inv   []dfsInv // parallel to succs, or nil
 	next  int
 }
 
@@ -113,70 +46,10 @@ func (d *dfsStack) Ignoring(succKeys []string) bool {
 // (the stack variant of the ignoring proviso C3, counted in
 // Stats.ProvisoExpansions), keeping POR sound on cyclic state graphs. The
 // BFS engines enforce the same proviso with a queue discipline instead.
-func DFS(p *core.Protocol, opts Options) (*Result, error) {
-	return dfs(p, opts, opts.store(), nil)
-}
-
-// ParallelDFS runs DFS's walk with the speculation kernel attached (see
-// Speculation): workers steal the pending siblings of the walk's frames and
-// memoize their subtrees' expansion records, pre-checked invariants
-// included, so verdicts, statistics and counterexample traces are
-// bit-identical to DFS for any worker count, on any store. Under a
-// canonicalizing Options.Canon the same caveat as ParallelBFS applies: the
-// Violation error value (and trace event labels) may come from any member
-// of a state's symmetry orbit, since a record may have been built from a
-// different orbit representative.
-//
-// Proviso: the stack variant of the ignoring proviso (C3) stays entirely
-// inside the walk, whose stack IS the sequential search stack:
-// Proviso.OnStack and Ignoring are answered from it alone, never from
-// speculative state. A stolen subtree's root remains pinned on that stack —
-// it is a pending sibling of a live frame until its turn commits — so
-// reduced expansions are promoted exactly when sequential DFS would promote
-// them. Speculators hand the expander an inert proviso, which is sound
-// because an Expander's chosen set must not depend on the hook (see
-// Proviso); promotion re-executes the full enabled set from the record's
-// own source state during commit.
-//
-// The store must tolerate concurrent Has probes during Seen inserts;
-// Options.concurrentStore guarantees that by wrapping non-concurrent stores
-// behind a mutex.
-func ParallelDFS(p *core.Protocol, opts Options) (*Result, error) {
-	var (
-		store = opts.concurrentStore()
-		canon = opts.canon()
-		exp   = opts.expander()
-		probe = storeProbe(store)
-	)
-	return dfs(p, opts, store, Speculate(opts, SpecEngine[dfsSucc, dfsRecord]{
-		Key:   func(n dfsSucc) string { return n.key },
-		Probe: probe,
-		Build: func(n dfsSucc) (*dfsRecord, []dfsSucc) {
-			rec := dfsBuild(p, n.st, exp, canon, noProviso{})
-			rec.precheck(p, probe)
-			return &rec, rec.succs
-		},
-	}))
-}
-
-// storeProbe is the non-mutating visited-set lookup speculators use to skip
-// committed states: nil when the store cannot answer, in which case they
-// dedupe through the memo table alone.
-func storeProbe(store Store) func(string) bool {
-	if hs, ok := store.(HasStore); ok {
-		return hs.Has
-	}
-	return nil
-}
-
-// dfs is the walk shared by DFS and ParallelDFS: the stack search, which
-// takes a state's expansion record from spec when a speculator got there
-// first and builds it inline otherwise (always, when spec is nil). The
-// commit path is identical either way, so the two entry points produce
-// bit-identical verdicts, statistics and traces.
-func dfs(p *core.Protocol, opts Options, store Store, spec *Speculation[dfsSucc, dfsRecord]) (result *Result, err error) {
+func DFS(p *core.Protocol, opts Options) (result *Result, err error) {
 	var (
 		res     Result
+		store   = opts.store()
 		canon   = opts.canon()
 		exp     = opts.expander()
 		lim     = newLimiter(opts)
@@ -192,61 +65,48 @@ func dfs(p *core.Protocol, opts Options, store Store, spec *Speculation[dfsSucc,
 			result, err = nil, serr
 		}
 	}()
-	// Runs first (LIFO): the speculators are joined before the stats defer
-	// above reads the store.
-	defer spec.Close(&res.Stats)
 	init, err := p.InitialState()
 	if err != nil {
 		return nil, err
 	}
 
-	// expand computes one state's successors in commit order: its record,
-	// then the stack proviso and the expansion statistics.
-	expand := func(s *core.State, key string) ([]dfsSucc, []dfsInv, error) {
-		var rec dfsRecord
-		if r := spec.Take(key); r != nil {
-			rec = *r
-		} else {
-			rec = dfsBuild(p, s, exp, canon, sinfo)
-		}
-		if rec.err != nil {
-			return nil, nil, rec.err
-		}
-		if rec.deadlock {
+	// expand computes one state's successors: the expander's choice, then
+	// the stack proviso and the expansion statistics.
+	expand := func(s *core.State) ([]dfsSucc, error) {
+		enabled := p.Enabled(s)
+		if len(enabled) == 0 {
 			res.Stats.Deadlocks++
-			return nil, nil, nil
+			return nil, nil
 		}
-		if rec.reduced {
-			keyBuf = succKeys(keyBuf, rec.succs)
-			if sinfo.Ignoring(keyBuf) {
-				// Stack proviso (C3): a reduced expansion must not close a
-				// cycle on the stack, or the deferred events could be
-				// ignored forever. Re-execute from the record's own source
-				// state, which stays orbit-consistent under symmetry.
-				res.Stats.ProvisoExpansions++
-				res.Stats.FullExpansions++
-				succs, err := execAll(p, rec.src, rec.enabled, canon)
-				return succs, nil, err
-			}
-			res.Stats.ReducedExpansions++
-		} else {
+		chosen := exp.Expand(s, enabled, sinfo)
+		succs, err := execAll(p, s, chosen, canon)
+		if err != nil {
+			return nil, err
+		}
+		if len(chosen) == len(enabled) {
 			res.Stats.FullExpansions++
+			return succs, nil
 		}
-		return rec.succs, rec.inv, nil
+		keyBuf = succKeys(keyBuf, succs)
+		if sinfo.Ignoring(keyBuf) {
+			// Stack proviso (C3): a reduced expansion must not close a
+			// cycle on the stack, or the deferred events could be ignored
+			// forever.
+			res.Stats.ProvisoExpansions++
+			res.Stats.FullExpansions++
+			return execAll(p, s, enabled, canon)
+		}
+		res.Stats.ReducedExpansions++
+		return succs, nil
 	}
 
 	push := func(s *core.State, key string, via core.Event) error {
 		sinfo.onStack[key] = true
-		succs, inv, err := expand(s, key)
+		succs, err := expand(s)
 		if err != nil {
 			return err
 		}
-		stack = append(stack, dfsFrame{key: key, via: via, succs: succs, inv: inv})
-		if len(succs) > 1 {
-			// The pending siblings: everything after the child the walk
-			// enters next.
-			spec.Publish(succs[1:]...)
-		}
+		stack = append(stack, dfsFrame{key: key, via: via, succs: succs})
 		return nil
 	}
 
@@ -281,10 +141,6 @@ func dfs(p *core.Protocol, opts Options, store Store, spec *Speculation[dfsSucc,
 			continue
 		}
 		sc := f.succs[f.next]
-		var inv dfsInv
-		if f.inv != nil {
-			inv = f.inv[f.next]
-		}
 		f.next++
 		res.Stats.Events++
 		if store.Seen(sc.key) {
@@ -298,12 +154,9 @@ func dfs(p *core.Protocol, opts Options, store Store, spec *Speculation[dfsSucc,
 		if len(stack) > res.Stats.MaxDepth {
 			res.Stats.MaxDepth = len(stack)
 		}
-		if !inv.checked {
-			inv.verr = p.CheckInvariant(sc.st)
-		}
-		if inv.verr != nil {
+		if verr := p.CheckInvariant(sc.st); verr != nil {
 			res.Verdict = VerdictViolated
-			res.Violation = inv.verr
+			res.Violation = verr
 			res.Trace = trace(&sc)
 			return &res, nil
 		}
@@ -327,6 +180,12 @@ func dfs(p *core.Protocol, opts Options, store Store, spec *Speculation[dfsSucc,
 	}
 	return &res, nil
 }
+
+// ParallelDFS runs DFS: Options.Workers parallelizes only ParallelBFS.
+//
+// Deprecated: call DFS. ParallelDFS stays only for bench/layers/traced.go
+// and goes when ROADMAP item 0b moves that file onto the mpbasset facade.
+func ParallelDFS(p *core.Protocol, opts Options) (*Result, error) { return DFS(p, opts) }
 
 func execAll(p *core.Protocol, s *core.State, events []core.Event, canon func(*core.State) string) ([]dfsSucc, error) {
 	succs := make([]dfsSucc, 0, len(events))

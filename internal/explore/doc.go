@@ -1,12 +1,10 @@
 // Package explore provides the explicit-state search engines of the model
 // checker: stateful DFS and BFS over canonical state keys, a stateless DFS
 // (the search mode required by dynamic POR, §III-A), a deterministic
-// parallel engine for each stateful search order (frontier-parallel BFS
-// and speculative parallel DFS), nested DFS for Büchi liveness properties
-// (NDFS, with its deterministic parallel twin ParallelNDFS), invariant
-// checking with counterexample traces, deadlock detection, and a full
-// state-graph builder used to validate transition refinement (Theorem 2:
-// refined and unrefined systems generate the same state graph).
+// frontier-parallel BFS, nested DFS for Büchi liveness properties (NDFS),
+// invariant checking with counterexample traces, deadlock detection, and a
+// full state-graph builder used to validate transition refinement
+// (Theorem 2: refined and unrefined systems generate the same state graph).
 //
 // Searches are parameterized by an Expander, the hook through which
 // partial-order reduction restricts the explored events of a state. Every
@@ -28,34 +26,13 @@
 // proviso included, which is evaluated after the level barrier against the
 // level-start visited snapshot rather than the live concurrent store.
 //
-// # One walk per engine family, one speculation kernel
+// # One sequential walk per depth-first engine
 //
-// The depth-first engines come in sequential/parallel pairs — DFS and
-// ParallelDFS, NDFS and ParallelNDFS, dpor.Explore and
-// dpor.ExploreParallel — and each pair is one walk: a single function (dfs,
-// ndfs, dpor's engine.run) that decides everything observable and asks an
-// optional *Speculation for a state's expansion record before computing it
-// inline. The sequential entry point passes nil; the parallel one starts
-// the kernel (Speculate) and passes it. There is no second search loop.
-//
-// The kernel (spec.go) is the whole speculation side, written once: the
-// striped memo of expansion records, the bounded deep-end steal queue, the
-// worker pool, the budgeted depth-first steal loop, Take/Publish/Close and
-// the two volatile counters Stats.SpeculatedVisits/SpeculationHits. An
-// engine supplies a SpecEngine — its node and record types and the four
-// things the engines genuinely disagree on: how a stolen target becomes a
-// node (DPOR executes the stolen backtrack event; for DFS and NDFS a
-// pending sibling already is one), the node's memo key, an optional
-// "already committed" store probe, and Build, which computes a node's
-// record and its child nodes. The engine's side of the contract is that
-// Build is a pure function of the node; the kernel's is that a record is
-// built from its node alone — on any worker, in any order — memoized under
-// that node's key (the first one wins) and handed to the walk at most
-// once. Records are therefore never wrong, only possibly missing, and the
-// committed verdict, deterministic statistics and traces are bit-identical
-// to the sequential engine for any worker count and steal depth (see
-// Speculation for the full contract). The stack proviso, visit order,
-// limits and DPOR's clocks never leave the walk.
+// DFS, NDFS, StatelessDFS and dpor.Explore are each one sequential walk:
+// the search stack is the state, so the stack proviso, visit order, limits
+// and DPOR's clocks live in one goroutine and need no synchronization.
+// Options.Workers parallelizes ParallelBFS only; every other engine
+// ignores it.
 //
 // NDFS lifts the stateful DFS to liveness checking (Options.Property): a
 // blue search explores the product of the state graph and the property
@@ -65,15 +42,13 @@
 // lasso into a deadlocked accepting state). The stack ignoring proviso
 // doubles as the cycle-awareness the nested search needs, so a reducing
 // expander remains sound; weak fairness (Property.WeakFair) forces full
-// expansion, since the fairness monitor observes every transition.
-// ParallelNDFS speculates on the blue search only and keeps the red
-// searches on the commit walk; both engines are differentially tested
-// against the explicit Büchi-product + Tarjan-SCC oracle in package
-// liveness.
+// expansion, since the fairness monitor observes every transition. NDFS is
+// differentially tested against the explicit Büchi-product + Tarjan-SCC
+// oracle in package liveness.
 //
-// All parallel engines inherit their soundness conditions from the hooks
-// they parallelize: the protocol's Enabled/Execute/CheckInvariant, the
-// Canon function and the Expander must be stateless or read-only (true of
+// ParallelBFS inherits its soundness conditions from the hooks it
+// parallelizes: the protocol's Enabled/Execute/CheckInvariant, the Canon
+// function and the Expander must be stateless or read-only (true of
 // everything in this repository).
 //
 // # The store matrix
@@ -88,7 +63,7 @@
 //     the default because at 16 bytes/state the differential suites have
 //     never produced a collision);
 //   - ShardedStore / ShardedHashStore stripe either of the above across
-//     mutexes for the parallel engines;
+//     mutexes for ParallelBFS;
 //   - SpillStore bounds resident memory and overflows to sorted runs on
 //     disk (SpillReporter surfaces the traffic in Stats);
 //   - BitstateStore is the deliberately lossy tier: Spin-style bitstate

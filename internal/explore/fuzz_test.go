@@ -4,9 +4,9 @@
 // every stateful engine must agree on it, over in-memory and spill-to-disk
 // stores alike. Any divergence in verdict, state count, statistics or
 // replayed trace fails the input. The BFS family (BFS, ParallelBFS on
-// both insert paths) is held bit-identical to sequential BFS; the parallel
-// DFS family (ParallelDFS at several worker counts and steal depths) is
-// held bit-identical to sequential DFS, unreduced and SPOR-reduced alike.
+// both insert paths) is held bit-identical to sequential BFS; DFS over
+// every store is held bit-identical to DFS over the in-memory store,
+// unreduced and SPOR-reduced alike.
 // The seed corpus covers IgnoringTrap and the soundness-matrix
 // configurations of por/proviso_test.go, so plain `go test` exercises them
 // deterministically; `go test -fuzz FuzzEngineAgreement` explores the
@@ -17,11 +17,10 @@
 // parameter): the input decodes into a protocol plus a Büchi property (a
 // rounds-threshold eventually-goal, or the liveness trap's own property),
 // the explicit Tarjan oracle of package liveness fixes the ground-truth
-// verdict, and the NDFS family — sequential and ParallelNDFS at several
-// worker counts, over in-memory and spill stores, unreduced and
-// SPOR-reduced — must reach that verdict with every configuration
-// bit-identical (stats, lasso trace, cycle shape) to the sequential NDFS
-// reference of its reduction mode, and every reported lasso must replay.
+// verdict, and NDFS — over in-memory and spill stores, unreduced and
+// SPOR-reduced — must reach that verdict with every store bit-identical
+// (stats, lasso trace, cycle shape) to the in-memory NDFS reference of its
+// reduction mode, and every reported lasso must replay.
 // The fair parameter turns on weak fairness, exercising the copies
 // monitor.
 //
@@ -39,10 +38,9 @@
 // stateless dynamic-POR engine: the input decodes into a generated
 // single-message model (quorum, cycle and trap knobs forced off — DPOR
 // rejects quorum transitions and assumes acyclic state graphs), and
-// dpor.ExploreParallel at 1, 2 and 4 workers must be bit-identical —
-// verdict, statistics modulo the volatile speculation counters, violation
-// and trace — to sequential dpor.Explore, with sleep sets on and off. The
-// seed corpus mirrors the DPOR validation suite's generator configurations.
+// dpor.Explore, with sleep sets on and off, must reach the verdict of
+// exhaustive BFS, with every counterexample replayed. The seed corpus
+// mirrors the DPOR validation suite's generator configurations.
 package explore_test
 
 import (
@@ -50,7 +48,6 @@ import (
 
 	"mpbasset/internal/core"
 	"mpbasset/internal/dpor"
-	"mpbasset/internal/eval"
 	"mpbasset/internal/explore"
 	"mpbasset/internal/liveness"
 	"mpbasset/internal/mptest"
@@ -86,22 +83,11 @@ func fuzzEngines() []diffEngine {
 	}
 }
 
-// fuzzDFSEngines is the DFS-side matrix: ParallelDFS at 1 and 4 workers
-// (plus a shallow steal depth, which stresses re-stealing), each held
-// bit-identical — stats and trace — to the sequential DFS reference.
+// fuzzDFSEngines is the DFS-side matrix: sequential DFS, held
+// bit-identical — stats and trace — to the in-memory DFS reference over
+// every store.
 func fuzzDFSEngines() []diffEngine {
-	pdfs := func(workers, stealDepth int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
-		return func(p *core.Protocol, xo explore.Options) (*explore.Result, error) {
-			xo.Workers = workers
-			xo.StealDepth = stealDepth
-			return explore.ParallelDFS(p, xo)
-		}
-	}
-	return []diffEngine{
-		{"ParallelDFS-1", pdfs(1, 0), true},
-		{"ParallelDFS-4", pdfs(4, 0), true},
-		{"ParallelDFS-4-steal-1", pdfs(4, 1), true},
-	}
+	return []diffEngine{{"DFS", explore.DFS, true}}
 }
 
 // decodeFuzzProtocol maps raw fuzz arguments onto a bounded protocol:
@@ -156,28 +142,9 @@ func decodeFuzzLiveness(seed int64, procs, ring, prio, threshold, rounds uint8, 
 	return p, prop, nil
 }
 
-// fuzzNDFSEngines is the liveness-mode matrix: ParallelNDFS at 1 and 4
-// workers plus a shallow steal depth, each held bit-identical to the
-// sequential NDFS reference of its reduction mode.
-func fuzzNDFSEngines() []diffEngine {
-	pndfs := func(workers, stealDepth int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
-		return func(p *core.Protocol, xo explore.Options) (*explore.Result, error) {
-			xo.Workers = workers
-			xo.StealDepth = stealDepth
-			return explore.ParallelNDFS(p, xo)
-		}
-	}
-	return []diffEngine{
-		{"NDFS", explore.NDFS, true},
-		{"ParallelNDFS-1", pndfs(1, 0), true},
-		{"ParallelNDFS-4", pndfs(4, 0), true},
-		{"ParallelNDFS-4-steal-1", pndfs(4, 1), true},
-	}
-}
-
 // fuzzLivenessCheck is the liveness-mode body of the harness: oracle
-// ground truth, then the NDFS matrix over stores and reductions held to
-// the oracle's verdict and to per-mode bit-identity, with every lasso
+// ground truth, then NDFS over every store and reduction held to the
+// oracle's verdict and to per-mode bit-identity, with every lasso
 // replayed.
 func fuzzLivenessCheck(t *testing.T, p *core.Protocol, prop *liveness.Property) {
 	ores, err := liveness.Oracle(p, prop, fuzzMaxStates)
@@ -223,7 +190,7 @@ func fuzzLivenessCheck(t *testing.T, p *core.Protocol, prop *liveness.Property) 
 				t.Errorf("%s: lasso does not replay: %v", mode.name, err)
 			}
 		}
-		for _, eng := range fuzzNDFSEngines() {
+		for _, eng := range []diffEngine{{"NDFS", explore.NDFS, true}} {
 			for _, store := range []struct {
 				name  string
 				store func() explore.Store
@@ -262,64 +229,32 @@ func fuzzLivenessCheck(t *testing.T, p *core.Protocol, prop *liveness.Property) 
 }
 
 // fuzzDPORCheck is the dporMode body of the harness: on a generated
-// single-message model, sequential DPOR fixes the reference per sleep-set
-// mode and the speculative parallel engine at 1, 2 and 4 workers is held
-// bit-identical to it — verdict, statistics modulo the volatile speculation
-// counters, violation message and counterexample trace — with every
+// single-message model, exhaustive unreduced BFS fixes the reference
+// verdict, and DPOR with sleep sets on and off must reach it, with every
 // violation replayed.
 func fuzzDPORCheck(t *testing.T, p *core.Protocol) {
+	opts := explore.Options{MaxStates: fuzzMaxStates}
+	ref, err := explore.BFS(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Verdict == explore.VerdictLimit {
+		t.Skip("state space exceeds the fuzz budget")
+	}
 	for _, sleep := range []bool{true, false} {
-		cfg := dpor.Config{SleepSets: sleep}
-		opts := explore.Options{MaxStates: fuzzMaxStates}
-		ref, err := dpor.ExploreWith(p, opts, cfg)
+		res, err := dpor.ExploreWith(p, opts, dpor.Config{SleepSets: sleep})
 		if err != nil {
-			t.Fatalf("sequential DPOR (sleep=%v): %v", sleep, err)
+			t.Fatalf("DPOR (sleep=%v): %v", sleep, err)
 		}
-		if ref.Verdict == explore.VerdictLimit {
-			t.Skip("state space exceeds the fuzz budget")
+		if res.Verdict == explore.VerdictLimit {
+			continue // node visits, not states: a stateless run may outgrow the budget
 		}
-		if ref.Verdict == explore.VerdictViolated {
-			if _, err := explore.ReplayViolation(p, ref.Trace, nil); err != nil {
-				t.Errorf("sleep=%v: sequential DPOR counterexample does not replay: %v", sleep, err)
-			}
+		if res.Verdict != ref.Verdict {
+			t.Errorf("DPOR sleep=%v: verdict %s, BFS %s", sleep, res.Verdict, ref.Verdict)
 		}
-		for _, w := range []int{1, 2, 4} {
-			popts := opts
-			popts.Workers = w
-			res, err := dpor.ExploreParallelWith(p, popts, cfg)
-			if err != nil {
-				t.Fatalf("parallel DPOR w=%d (sleep=%v): %v", w, sleep, err)
-			}
-			if res.Verdict != ref.Verdict {
-				t.Errorf("dpor w=%d sleep=%v: verdict %s, sequential %s", w, sleep, res.Verdict, ref.Verdict)
-				continue
-			}
-			if !eval.StatsEqualModuloVolatile(res.Stats, ref.Stats) {
-				rs, ws := res.Stats, ref.Stats
-				eval.MaskVolatileStats(&rs)
-				eval.MaskVolatileStats(&ws)
-				t.Errorf("dpor w=%d sleep=%v: stats %+v, sequential %+v", w, sleep, rs, ws)
-			}
-			refViol, resViol := "", ""
-			if ref.Violation != nil {
-				refViol = ref.Violation.Error()
-			}
-			if res.Violation != nil {
-				resViol = res.Violation.Error()
-			}
-			if resViol != refViol {
-				t.Errorf("dpor w=%d sleep=%v: violation %q, sequential %q", w, sleep, resViol, refViol)
-			}
-			if len(res.Trace) != len(ref.Trace) {
-				t.Errorf("dpor w=%d sleep=%v: trace length %d, sequential %d", w, sleep, len(res.Trace), len(ref.Trace))
-				continue
-			}
-			for i := range res.Trace {
-				if res.Trace[i].StateKey != ref.Trace[i].StateKey ||
-					res.Trace[i].Event.Key() != ref.Trace[i].Event.Key() {
-					t.Errorf("dpor w=%d sleep=%v: trace step %d diverges", w, sleep, i)
-					break
-				}
+		if res.Verdict == explore.VerdictViolated {
+			if _, err := explore.ReplayViolation(p, res.Trace, nil); err != nil {
+				t.Errorf("DPOR sleep=%v: counterexample does not replay: %v", sleep, err)
 			}
 		}
 	}
@@ -380,8 +315,7 @@ func FuzzEngineAgreement(f *testing.F) {
 	// configurations (two-process bounce and longer rings at benign and
 	// adversarial cycle priorities, with and without violations), a
 	// violating deep-cycle seed, two deep-round seeds (long first-child
-	// spines, the ParallelDFS steal stress), and the ignoring trap at
-	// rings 2 and 4.
+	// spines), and the ignoring trap at rings 2 and 4.
 	f.Add(int64(0), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), true, false, false, false, false, false, false)
 	f.Add(int64(0), uint8(2), uint8(0), uint8(0), uint8(1), uint8(0), true, false, true, false, false, false, false)
 	f.Add(int64(5), uint8(2), uint8(0), uint8(3), uint8(1), uint8(0), true, false, true, false, false, false, false)
@@ -500,7 +434,7 @@ func FuzzEngineAgreement(f *testing.F) {
 				// identical unreduced state space but at first-path depths
 				// (and stops at a different first violation), so it is
 				// compared on verified runs with MaxDepth masked. Strict
-				// engines (ParallelBFS vs BFS, ParallelDFS vs DFS) must
+				// engines (ParallelBFS vs BFS, DFS vs in-memory DFS) must
 				// match their reference's stats and trace exactly.
 				rs, ws := maskSpill(res.Stats), maskSpill(want.Stats)
 				if !eng.strict {
@@ -538,11 +472,11 @@ func FuzzEngineAgreement(f *testing.F) {
 		}
 
 		// SPOR-reduced: the BFS family must be bit-identical to the
-		// reduced sequential BFS reference and the parallel DFS family to
-		// the reduced sequential DFS reference (the two references explore
-		// different reduced graphs — queue vs stack proviso); sequential
-		// reduced DFS itself is held to verdict agreement and trace replay
-		// only.
+		// reduced sequential BFS reference and the DFS family to the
+		// reduced in-memory DFS reference (the two references explore
+		// different reduced graphs — queue vs stack proviso); the
+		// non-strict DFS leg of fuzzEngines is held to verdict agreement
+		// and trace replay only.
 		exp, err := por.NewExpander(p)
 		if err != nil {
 			t.Fatal(err)

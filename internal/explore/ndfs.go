@@ -26,56 +26,11 @@ type nSucc struct {
 	stutter bool   // implicit self-loop step of a deadlocked state
 }
 
-// nRecord is the expansion record of one product state: everything the
-// blue search needs to replay the expansion exactly as the sequential
-// engine computes it. Like dfsRecord, records are pure functions of the
-// product state, which is what makes ParallelNDFS's out-of-order
-// speculation sound.
-type nRecord struct {
-	// src is the state the record was built from; the proviso promotion
-	// re-executes the full enabled set against it (orbit-consistent under
-	// a canonicalizing Canon).
-	src      *core.State
-	copy     int
-	deadlock bool
-	reduced  bool
-	// enabled is the full enabled-event set, retained only for reduced
-	// expansions so the stack proviso can promote them without
-	// recomputing Enabled.
-	enabled []core.Event
-	succs   []nSucc
-	// err is a deferred Execute failure, surfaced when (and only when)
-	// the blue walk actually expands the state.
-	err error
-}
-
-// nBuild computes a product state's expansion record: the full enabled
-// set, the expander's chosen subset, the executed successors with their
-// fairness-monitor copies — and, for deadlocked states, the stutter
-// self-loop successor.
-func nBuild(p *core.Protocol, prop *liveness.Property, s *core.State, copy int, exp Expander, canon func(*core.State) string, prov Proviso) *nRecord {
-	rec := &nRecord{src: s, copy: copy}
-	accepting := copy == 0 && prop.Accept(s)
-	enabled := p.Enabled(s)
-	if len(enabled) == 0 {
-		rec.deadlock = true
-		ncopy := prop.Next(copy, p.N, accepting, -1, func(int) bool { return false })
-		skey := canon(s)
-		rec.succs = []nSucc{{st: s, skey: skey, copy: ncopy, pkey: liveness.ProductKey(skey, ncopy), stutter: true}}
-		return rec
-	}
-	chosen := exp.Expand(s, enabled, prov)
-	rec.reduced = len(chosen) < len(enabled)
-	if rec.reduced {
-		rec.enabled = enabled
-	}
-	succs, err := nExecAll(p, prop, s, copy, accepting, enabled, chosen, canon)
-	if err != nil {
-		rec.err = err
-		return rec
-	}
-	rec.succs = succs
-	return rec
+// nStutter is the implicit stutter self-loop successor of the deadlocked
+// product state (s, copy), whose canonical protocol-state key is skey.
+func nStutter(prop *liveness.Property, n int, s *core.State, skey string, copy int, accepting bool) nSucc {
+	ncopy := prop.Next(copy, n, accepting, -1, func(int) bool { return false })
+	return nSucc{st: s, skey: skey, copy: ncopy, pkey: liveness.ProductKey(skey, ncopy), stutter: true}
 }
 
 // nExecAll executes events against the product state (s, copy): each event
@@ -146,28 +101,14 @@ type nFrame struct {
 // multiplexing blue and red visit marks into the one store under distinct
 // key suffixes. The safety invariant is NOT checked; run a safety search
 // separately.
-func NDFS(p *core.Protocol, opts Options) (*Result, error) {
-	if err := ndfsCheckOpts(opts); err != nil {
-		return nil, err
-	}
-	return ndfs(p, opts, opts.store(), nil)
-}
-
-func ndfsCheckOpts(opts Options) error {
+func NDFS(p *core.Protocol, opts Options) (result *Result, err error) {
 	if opts.Property == nil || opts.Property.Accept == nil {
-		return fmt.Errorf("explore: the NDFS engines require Options.Property with an Accept predicate")
+		return nil, fmt.Errorf("explore: NDFS requires Options.Property with an Accept predicate")
 	}
-	return nil
-}
-
-// ndfs is the engine core shared by NDFS and ParallelNDFS: the blue/red
-// nested search, with speculative expansion records taken from spec when
-// one is attached. The commit path is identical either way, so the two
-// entry points produce bit-identical verdicts, statistics and lassos.
-func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, nRecord]) (result *Result, err error) {
 	var (
 		prop    = opts.Property
 		res     Result
+		store   = opts.store()
 		canon   = opts.canon()
 		exp     = opts.expander()
 		lim     = newLimiter(opts)
@@ -211,35 +152,29 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, 
 			result, err = nil, serr
 		}
 	}()
-	// Runs first (LIFO): the speculators are joined before the stats defer
-	// above reads the store.
-	defer spec.Close(&res.Stats)
 	init, err := p.InitialState()
 	if err != nil {
 		return nil, err
 	}
 
-	// expand replays one product state's expansion in commit order:
-	// memoized record when a speculator got there first, inline
-	// computation otherwise, then the stack proviso and the expansion
-	// statistics — deterministically in either case.
-	expand := func(s *core.State, pkey string, copy int, accepting bool) ([]nSucc, error) {
-		rec := spec.Take(pkey)
-		if rec == nil {
-			rec = nBuild(p, prop, s, copy, exp, canon, sinfo)
-		}
-		if rec.err != nil {
-			return nil, rec.err
-		}
-		if rec.deadlock {
+	// expand computes one product state's successors: the expander's
+	// choice, then the stack proviso, the expansion statistics and the
+	// memoized choice the red search replays.
+	expand := func(s *core.State, skey, pkey string, copy int, accepting bool) ([]nSucc, error) {
+		enabled := p.Enabled(s)
+		if len(enabled) == 0 {
 			res.Stats.Deadlocks++
 			if reducing {
 				succMemo[pkey] = blueChoice{}
 			}
-			return rec.succs, nil
+			return []nSucc{nStutter(prop, p.N, s, skey, copy, accepting)}, nil
 		}
-		succs := rec.succs
-		reduced := rec.reduced
+		chosen := exp.Expand(s, enabled, sinfo)
+		succs, err := nExecAll(p, prop, s, copy, accepting, enabled, chosen, canon)
+		if err != nil {
+			return nil, err
+		}
+		reduced := len(chosen) < len(enabled)
 		if reduced {
 			keyBuf = nSuccKeys(keyBuf, succs)
 			if sinfo.Ignoring(keyBuf) {
@@ -248,11 +183,9 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, 
 				// deferred events could be ignored forever around it.
 				reduced = false
 				res.Stats.ProvisoExpansions++
-				promoted, err := nExecAll(p, prop, rec.src, rec.copy, accepting, rec.enabled, rec.enabled, canon)
-				if err != nil {
+				if succs, err = nExecAll(p, prop, s, copy, accepting, enabled, enabled, canon); err != nil {
 					return nil, err
 				}
-				succs = promoted
 			}
 		}
 		if reduced {
@@ -267,7 +200,7 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, 
 			}
 			blue := blueChoice{evs: evs}
 			if opts.Canon != nil {
-				blue.src = rec.src
+				blue.src = s
 			}
 			succMemo[pkey] = blue
 		}
@@ -277,7 +210,7 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, 
 	push := func(sc nSucc) error {
 		sinfo.onStack[sc.pkey] = true
 		accepting := sc.copy == 0 && prop.Accept(sc.st)
-		succs, err := expand(sc.st, sc.pkey, sc.copy, accepting)
+		succs, err := expand(sc.st, sc.skey, sc.pkey, sc.copy, accepting)
 		if err != nil {
 			return err
 		}
@@ -285,11 +218,6 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, 
 			skey: sc.skey, pkey: sc.pkey, copy: sc.copy,
 			via: sc.ev, stutter: sc.stutter, accepting: accepting, succs: succs,
 		})
-		if len(succs) > 1 {
-			// The pending siblings: everything after the child the walk
-			// enters next.
-			spec.Publish(succs[1:]...)
-		}
 		return nil
 	}
 
@@ -307,8 +235,7 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, 
 				return nil, nil
 			}
 			if len(blue.evs) == 0 {
-				ncopy := prop.Next(copy, p.N, accepting, -1, func(int) bool { return false })
-				return []nSucc{{st: s, skey: skey, copy: ncopy, pkey: liveness.ProductKey(skey, ncopy), stutter: true}}, nil
+				return []nSucc{nStutter(prop, p.N, s, skey, copy, accepting)}, nil
 			}
 			if blue.src != nil {
 				s = blue.src
@@ -317,8 +244,7 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, 
 		}
 		enabled := p.Enabled(s)
 		if len(enabled) == 0 {
-			ncopy := prop.Next(copy, p.N, accepting, -1, func(int) bool { return false })
-			return []nSucc{{st: s, skey: skey, copy: ncopy, pkey: liveness.ProductKey(skey, ncopy), stutter: true}}, nil
+			return []nSucc{nStutter(prop, p.N, s, skey, copy, accepting)}, nil
 		}
 		return nExecAll(p, prop, s, copy, accepting, enabled, enabled, canon)
 	}
@@ -482,37 +408,9 @@ func ndfs(p *core.Protocol, opts Options, store Store, spec *Speculation[nSucc, 
 	return &res, nil
 }
 
-// ParallelNDFS runs NDFS's walk with the speculation kernel attached (see
-// Speculation): workers steal the pending siblings of the blue frames and
-// memoize their subtrees' product expansion records, so verdicts,
-// statistics and lasso traces are bit-identical to NDFS for any worker
-// count, on any store. The red sweep is untouched by speculation: it
-// recomputes successors on the commit goroutine alone, so its marks and
-// order are sequential by construction.
+// ParallelNDFS runs NDFS: Options.Workers parallelizes only ParallelBFS.
 //
-// On top of the kernel's contract the Accept predicate must be pure and
-// safe for concurrent use, and the store must tolerate concurrent Has
-// probes during Seen inserts (Options.concurrentStore wraps non-concurrent
-// stores).
-func ParallelNDFS(p *core.Protocol, opts Options) (*Result, error) {
-	if err := ndfsCheckOpts(opts); err != nil {
-		return nil, err
-	}
-	var (
-		prop  = opts.Property
-		store = opts.concurrentStore()
-		canon = opts.canon()
-		exp   = opts.expander()
-	)
-	if prop.WeakFair {
-		exp = FullExpander{} // same C2-under-fairness rule as the commit walk
-	}
-	return ndfs(p, opts, store, Speculate(opts, SpecEngine[nSucc, nRecord]{
-		Key:   func(n nSucc) string { return n.pkey },
-		Probe: storeProbe(store),
-		Build: func(n nSucc) (*nRecord, []nSucc) {
-			rec := nBuild(p, prop, n.st, n.copy, exp, canon, noProviso{})
-			return rec, rec.succs
-		},
-	}))
-}
+// Deprecated: call NDFS. ParallelNDFS stays only for
+// bench/layers/traced.go and goes when ROADMAP item 0b moves that file onto
+// the mpbasset facade.
+func ParallelNDFS(p *core.Protocol, opts Options) (*Result, error) { return NDFS(p, opts) }

@@ -1,11 +1,10 @@
-// Differential tests of the NDFS liveness engines against the
+// Differential tests of the NDFS liveness engine against the
 // liveness.Oracle reference (explicit Büchi-product BFS + Tarjan SCC): on
-// every suite model and property, every NDFS configuration — sequential
-// and parallel at several worker counts, over in-memory and spill stores,
-// unreduced and SPOR — must agree with the oracle's verdict, the members
-// of each reduction mode must be bit-identical to their sequential
-// reference, and every reported lasso must replay as a genuine accepting
-// (and fair, when requested) cycle.
+// every suite model and property, every NDFS configuration — over
+// in-memory and spill stores, unreduced and SPOR — must agree with the
+// oracle's verdict, the runs of each reduction mode must be bit-identical
+// to their in-memory reference, and every reported lasso must replay as a
+// genuine accepting (and fair, when requested) cycle.
 package explore_test
 
 import (
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"mpbasset/internal/core"
-	"mpbasset/internal/eval"
 	"mpbasset/internal/explore"
 	"mpbasset/internal/liveness"
 	"mpbasset/internal/mptest"
@@ -86,30 +84,6 @@ func livenessSuite(t *testing.T) []livenessModel {
 	return suite
 }
 
-// ndfsEngine is one NDFS engine configuration of the differential matrix.
-type ndfsEngine struct {
-	name string
-	run  func(*core.Protocol, explore.Options) (*explore.Result, error)
-}
-
-func ndfsEngines() []ndfsEngine {
-	pndfs := func(workers, stealDepth int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
-		return func(p *core.Protocol, xo explore.Options) (*explore.Result, error) {
-			xo.Workers = workers
-			xo.StealDepth = stealDepth
-			return explore.ParallelNDFS(p, xo)
-		}
-	}
-	return []ndfsEngine{
-		{"NDFS", explore.NDFS},
-		{"ParallelNDFS-1", pndfs(1, 0)},
-		{"ParallelNDFS-2", pndfs(2, 0)},
-		{"ParallelNDFS-4", pndfs(4, 0)},
-		{"ParallelNDFS-8", pndfs(8, 0)},
-		{"ParallelNDFS-4-steal-1", pndfs(4, 1)},
-	}
-}
-
 // checkLasso validates a violated result's lasso certificate end to end.
 func checkLasso(t *testing.T, label string, p *core.Protocol, prop *liveness.Property, res *explore.Result) {
 	t.Helper()
@@ -148,12 +122,11 @@ func sameLasso(t *testing.T, label string, res, ref *explore.Result) {
 	}
 }
 
-// TestNDFSOracleDifferentialOnSuiteModels is the tentpole acceptance test:
-// on every suite model × property, the Tarjan oracle fixes the ground
-// truth, and every NDFS configuration — sequential and parallel, mem and
-// spill stores, unreduced and SPOR — must report the oracle's verdict,
-// stay bit-identical within its reduction mode, and produce replayable
-// lassos on violations.
+// TestNDFSOracleDifferentialOnSuiteModels is the NDFS acceptance test: on
+// every suite model × property, the Tarjan oracle fixes the ground truth,
+// and every NDFS configuration — mem and spill stores, unreduced and SPOR
+// — must report the oracle's verdict, stay bit-identical within its
+// reduction mode, and produce replayable lassos on violations.
 func TestNDFSOracleDifferentialOnSuiteModels(t *testing.T) {
 	for _, m := range livenessSuite(t) {
 		m := m
@@ -192,43 +165,18 @@ func TestNDFSOracleDifferentialOnSuiteModels(t *testing.T) {
 				if ref.Verdict == explore.VerdictViolated {
 					checkLasso(t, m.name+"/"+mode.name, m.p, m.prop, ref)
 				}
-				type cell struct {
-					eng   ndfsEngine
-					store string
+				// The reference ran over the in-memory store; the spill run
+				// must reproduce it. The larger models get a larger budget
+				// to bound merge churn.
+				budget := int64(512)
+				if !m.full {
+					budget = 64 << 10
 				}
-				all := ndfsEngines()
-				var cells []cell
-				if m.full {
-					for _, eng := range all {
-						cells = append(cells, cell{eng, "mem"}, cell{eng, "spill"})
-					}
-				} else {
-					// Trimmed matrix for the larger models: one spill run
-					// (sequential, larger budget to bound merge churn) and
-					// the parallel engines over the in-memory store; the full
-					// plane is covered on the small models above.
-					cells = []cell{
-						{all[0], "spill"}, // NDFS
-						{all[3], "mem"},   // ParallelNDFS-4
-						{all[4], "mem"},   // ParallelNDFS-8
-						{all[5], "mem"},   // ParallelNDFS-4-steal-1
-					}
+				res, err := explore.NDFS(m.p, explore.Options{Expander: mode.exp, Property: m.prop, Store: tinySpill(t, budget)})
+				if err != nil {
+					t.Fatalf("%s/spill: %v", mode.name, err)
 				}
-				for _, c := range cells {
-					xo := explore.Options{Expander: mode.exp, Property: m.prop}
-					if c.store == "spill" {
-						budget := int64(512)
-						if !m.full {
-							budget = 64 << 10
-						}
-						xo.Store = tinySpill(t, budget)
-					}
-					res, err := c.eng.run(m.p, xo)
-					if err != nil {
-						t.Fatalf("%s/%s/%s: %v", mode.name, c.eng.name, c.store, err)
-					}
-					sameLasso(t, m.name+"/"+mode.name+"/"+c.eng.name+"/"+c.store, res, ref)
-				}
+				sameLasso(t, m.name+"/"+mode.name+"/spill", res, ref)
 			}
 		})
 	}
@@ -329,45 +277,6 @@ func TestNDFSWeakFairnessFlipsVerdict(t *testing.T) {
 			if ref.Verdict == explore.VerdictViolated {
 				checkLasso(t, "fairness-flip", p, prop, ref)
 			}
-			for _, eng := range ndfsEngines()[1:] {
-				res, err := eng.run(p, explore.Options{Property: prop})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameLasso(t, eng.name, res, ref)
-			}
-		}
-	}
-}
-
-// TestNDFSDeterministicRepeats pins ParallelNDFS determinism directly:
-// repeated 8-worker runs over both verdict polarities must be
-// bit-identical every time.
-func TestNDFSDeterministicRepeats(t *testing.T) {
-	trap, trapProp, err := mptest.LivenessTrap(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stCfg := storage.Config{Objects: 3, Readers: 1}
-	st, err := storage.New(stCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []livenessModel{
-		{name: "liveness-trap-4", p: trap, prop: trapProp},
-		{name: "storage-31", p: st, prop: storage.ReadsComplete(stCfg)},
-	} {
-		var base *explore.Result
-		for i := 0; i < 8; i++ {
-			res, err := explore.ParallelNDFS(m.p, explore.Options{Property: m.prop, Workers: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base == nil {
-				base = res
-				continue
-			}
-			sameLasso(t, m.name, res, base)
 		}
 	}
 }
@@ -414,7 +323,7 @@ func TestNDFSLimits(t *testing.T) {
 	}
 }
 
-// TestNDFSRequiresProperty pins the option validation of both engines.
+// TestNDFSRequiresProperty pins the engine's option validation.
 func TestNDFSRequiresProperty(t *testing.T) {
 	p, _, err := mptest.LivenessTrap(2)
 	if err != nil {
@@ -423,29 +332,24 @@ func TestNDFSRequiresProperty(t *testing.T) {
 	if _, err := explore.NDFS(p, explore.Options{}); err == nil {
 		t.Error("NDFS without Property: want error")
 	}
-	if _, err := explore.ParallelNDFS(p, explore.Options{Workers: 2}); err == nil {
-		t.Error("ParallelNDFS without Property: want error")
-	}
 }
 
-// TestParallelNDFSUnderSymmetryMatchesSequential is the regression test for
-// the red sweep's event replay: under a symmetry canon a speculator may
-// build a product state's record from another representative of its orbit
-// than the one the red sweep later reaches, and replaying the blue search's
+// TestNDFSUnderSymmetryReplaysOnBlueRepresentative is the regression test
+// for the red sweep's event replay: under a symmetry canon the red sweep
+// may reach a product state through another representative of its orbit
+// than the one the blue search expanded, and replaying the blue search's
 // memoized events on that other representative failed with "message … not
-// pending" — a few runs in a thousand on Paxos(1,3,1), the facade-level
-// configuration TestOptionSweep covers, and nine runs in ten on the first
-// thousand states of Paxos(2,3,1). The replay now runs on the
-// representative the events were enabled in, so every run must succeed and
-// be bit-identical to sequential NDFS under the same canon. The runs are
-// bounded by MaxStates, which cuts the walk at a deterministic point.
-func TestParallelNDFSUnderSymmetryMatchesSequential(t *testing.T) {
+// pending". The replay runs on the representative the events were enabled
+// in, so every run must succeed, and repeated runs must be bit-identical.
+// The runs are bounded by MaxStates, which cuts the walk at a
+// deterministic point.
+func TestNDFSUnderSymmetryReplaysOnBlueRepresentative(t *testing.T) {
 	for _, tc := range []struct {
-		cfg             paxos.Config
-		maxStates, runs int
+		cfg       paxos.Config
+		maxStates int
 	}{
-		{paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1}, 60, 300},
-		{paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1}, 1000, 10},
+		{paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1}, 60},
+		{paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1}, 1000},
 	} {
 		px, err := paxos.New(tc.cfg)
 		if err != nil {
@@ -467,18 +371,12 @@ func TestParallelNDFSUnderSymmetryMatchesSequential(t *testing.T) {
 		xo := explore.Options{Property: prop, Expander: exp, Canon: canon.Canon, MaxStates: tc.maxStates}
 		ref, err := explore.NDFS(p, xo)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", p.Name, err)
 		}
-		xo.Workers = 2
-		for i := 0; i < tc.runs; i++ {
-			res, err := explore.ParallelNDFS(p, xo)
-			if err != nil {
-				t.Fatalf("%s run %d: %v", p.Name, i, err)
-			}
-			if res.Verdict != ref.Verdict || !eval.StatsEqualModuloVolatile(res.Stats, ref.Stats) {
-				t.Fatalf("%s run %d: (%s, %+v), sequential (%s, %+v)",
-					p.Name, i, res.Verdict, res.Stats, ref.Verdict, ref.Stats)
-			}
+		res, err := explore.NDFS(p, xo)
+		if err != nil {
+			t.Fatalf("%s rerun: %v", p.Name, err)
 		}
+		sameLasso(t, p.Name, res, ref)
 	}
 }

@@ -65,14 +65,13 @@ func (FullExpander) Expand(_ *core.State, enabled []core.Event, _ Proviso) []cor
 type Options struct {
 	// Expander restricts expansion (POR); nil means full expansion.
 	Expander Expander
-	// Property is the Büchi liveness property the NDFS engines (NDFS,
-	// ParallelNDFS) check; they require it and every other engine ignores
-	// it. The safety invariant is NOT checked by the liveness engines —
-	// run a safety search separately. When Property.WeakFair is set the
-	// NDFS engines ignore Expander and explore the full graph: the
-	// fairness monitor observes every transition, so no transition is
-	// invisible in the product and the ample-set condition C2 admits no
-	// reduction.
+	// Property is the Büchi liveness property NDFS checks; NDFS requires
+	// it and every other engine ignores it. The safety invariant is NOT
+	// checked by NDFS — run a safety search separately. When
+	// Property.WeakFair is set NDFS ignores Expander and explores the full
+	// graph: the fairness monitor observes every transition, so no
+	// transition is invisible in the product and the ample-set condition
+	// C2 admits no reduction.
 	Property *liveness.Property
 	// Store is the visited set; nil means a fresh ExactStore. Ignored by
 	// stateless search.
@@ -103,10 +102,10 @@ type Options struct {
 	// TrackTrace records parent links so BFS can reconstruct
 	// counterexamples (DFS reconstructs from its stack for free).
 	TrackTrace bool
-	// Workers is the size of a parallel engine's worker pool — ParallelBFS's
-	// frontier workers, the speculators of ParallelDFS, ParallelNDFS and
-	// dpor.ExploreParallel; 0 or negative means runtime.GOMAXPROCS(0).
-	// Ignored by the sequential engines.
+	// Workers is the size of ParallelBFS's worker pool; 0 or negative
+	// means runtime.GOMAXPROCS(0). Ignored by every other engine: the
+	// depth-first searches (DFS, NDFS, StatelessDFS, dpor.Explore) are one
+	// sequential walk each.
 	Workers int
 	// ChunkSize fixes the number of frontier nodes a ParallelBFS worker
 	// claims from its span per grab; 0 or negative means adaptive
@@ -118,16 +117,6 @@ type Options struct {
 	// path (BatchStore.SeenBatch); 0 or negative means the default of 64.
 	// 1 degenerates to per-key inserts. Ignored by every other engine.
 	BatchSize int
-	// StealDepth bounds one stolen subtree's speculation in the engines
-	// built on the speculation kernel (ParallelDFS, ParallelNDFS,
-	// dpor.ExploreParallel): a worker that steals a target explores at most
-	// this many events below the stolen root before reporting back and
-	// stealing afresh. Deeper speculation risks staleness (the commit walk
-	// may already have visited the subtree's states via another path),
-	// shallower speculation re-steals more often; neither ever changes
-	// results, only throughput. 0 or negative means the default of 8.
-	// Ignored by every other engine.
-	StealDepth int
 }
 
 func (o *Options) store() Store {
@@ -174,14 +163,6 @@ func (o *Options) batchSize() int {
 		return o.BatchSize
 	}
 	return 64
-}
-
-// stealDepth resolves the speculation kernel's per-steal depth budget.
-func (o *Options) stealDepth() int {
-	if o.StealDepth > 0 {
-		return o.StealDepth
-	}
-	return 8
 }
 
 func (o *Options) expander() Expander {

@@ -58,10 +58,10 @@ type Step struct {
 // visit states at shortest-path depth; DFS at first-search-path depth).
 //
 // RedStates counts the distinct product states the nested (red) searches
-// of the NDFS liveness engines visited; it is always zero for the safety
+// of the NDFS liveness engine visited; it is always zero for the safety
 // engines. Like every counter except Duration and the spill counters it is
-// covered by the determinism guarantee: sequential NDFS and ParallelNDFS
-// report identical values for any worker count.
+// covered by the determinism guarantee: NDFS reports identical values on
+// every store tier.
 //
 // ProvisoExpansions counts the expansions the ignoring proviso (C3)
 // promoted from reduced to full: DFS promotes when a reduced expansion
@@ -79,14 +79,6 @@ type Step struct {
 // other counter — they are NOT covered by the engines' determinism
 // guarantee (in parallel runs the insert timing moves the spill points),
 // and the differential test suites mask them when comparing runs.
-//
-// SpeculatedVisits and SpeculationHits report the speculation kernel's
-// activity in ParallelDFS, ParallelNDFS and dpor.ExploreParallel (always
-// zero elsewhere): expansion records the workers built, and records the
-// commit walk consumed. They describe scheduling luck, not the explored
-// state space — both depend on worker timing — so, like the spill
-// counters, they are volatile and masked before any determinism
-// comparison.
 //
 // BitstateFill and BitstateOmission report a lossy store's coverage when
 // the search ran over a BitstateStore (always zero otherwise): the bit
@@ -108,8 +100,6 @@ type Stats struct {
 	SpillRuns         int
 	SpillBytes        int64
 	DiskProbes        int64
-	SpeculatedVisits  int
-	SpeculationHits   int
 	BitstateFill      float64
 	BitstateOmission  float64
 	Duration          time.Duration

@@ -195,20 +195,6 @@ func (s *syncStore) Len() int {
 	return s.inner.Len()
 }
 
-// Has reports membership when the inner store can answer it, and false
-// otherwise. The "unknown reads as not seen" degradation is safe because
-// the only caller is ParallelDFS's speculation probe, which treats the
-// answer as a work-skipping hint — never as proviso or verdict input.
-func (s *syncStore) Has(key string) bool {
-	hs, ok := s.inner.(HasStore)
-	if !ok {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return hs.Has(key)
-}
-
 var _ BatchStore = (*syncStore)(nil)
 
 // concurrentStore returns a store safe for concurrent Seen/SeenBatch calls:

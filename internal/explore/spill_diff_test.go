@@ -46,9 +46,9 @@ func maskSpill(st explore.Stats) explore.Stats {
 
 // diffEngine is one engine configuration of the differential matrix.
 // strict marks engines whose stats and traces are bit-identical to their
-// family's sequential reference (sequential BFS for the BFS engines,
-// sequential DFS for ParallelDFS); sequential DFS itself explores the same
-// states at engine-specific depths and is held to looser comparisons.
+// family's reference (sequential BFS for the BFS engines); DFS explores the
+// same states as BFS at engine-specific depths and is held to looser
+// comparisons against it.
 type diffEngine struct {
 	name   string
 	run    func(*core.Protocol, explore.Options) (*explore.Result, error)
@@ -64,12 +64,6 @@ func diffEngines() []diffEngine {
 			return explore.ParallelBFS(p, xo)
 		}
 	}
-	pdfs := func(workers int) func(*core.Protocol, explore.Options) (*explore.Result, error) {
-		return func(p *core.Protocol, xo explore.Options) (*explore.Result, error) {
-			xo.Workers = workers
-			return explore.ParallelDFS(p, xo)
-		}
-	}
 	return []diffEngine{
 		{"BFS", explore.BFS, true},
 		{"DFS", explore.DFS, false},
@@ -77,9 +71,6 @@ func diffEngines() []diffEngine {
 		{"ParallelBFS-2", parallel(2, 0, 0), true},
 		{"ParallelBFS-8", parallel(8, 0, 0), true},
 		{"ParallelBFS-8-chunk1-batch1", parallel(8, 1, 1), true},
-		{"ParallelDFS-1", pdfs(1), true},
-		{"ParallelDFS-2", pdfs(2), true},
-		{"ParallelDFS-8", pdfs(8), true},
 	}
 }
 
@@ -114,8 +105,8 @@ func suiteModels(t *testing.T) map[string]*core.Protocol {
 
 // TestSpillStoreDifferentialOnSuiteModels is the spill tier's acceptance
 // check on the bundled models: for every suite protocol and every engine
-// (BFS, DFS, ParallelBFS at 1/2/8 workers on both insert paths,
-// ParallelDFS at 1/2/8 workers), a run over a SpillStore with an
+// (BFS, DFS, ParallelBFS at 1/2/8 workers on both insert paths), a run
+// over a SpillStore with an
 // artificially tiny budget (forcing multiple spills and merges) must be
 // bit-identical — verdict, statistics (spill activity masked) and trace —
 // to the same engine over the in-memory fingerprint store, both unreduced

@@ -117,9 +117,8 @@ const (
 // fingerprint is the 128-bit MurmurHash3_x64_128 of key with seed 0, laid
 // out canonically: h1 little-endian in bytes 0–7, h2 in bytes 8–15. It is
 // the one state fingerprint every hashed store shares (HashStore,
-// ShardedStore, SpillStore's hot tier, runs and bloom, BitstateStore) and
-// the speculation memo's stripe selector, so it runs on every visited-set
-// probe: it consumes 16-byte blocks as two word loads (see le64) and never
+// ShardedStore, SpillStore's hot tier, runs and bloom, BitstateStore), so
+// it runs on every visited-set probe: it consumes 16-byte blocks as two word loads (see le64) and never
 // allocates. The seed is fixed, unlike hash/maphash's per-process one, so
 // lossy coverage and spill order are the same on every run.
 //

@@ -135,8 +135,8 @@ func TestFingerprintAllocs(t *testing.T) {
 // TestFingerprintDispersion hashes about 2^18 state-shaped keys — every
 // length from 0 to 300, so every tail length and block edge occurs, with
 // neighbours sharing all but one byte or one bit — and checks that no two
-// collide and that fp[15], the byte ShardedStore, SpillStore and the
-// speculation memo pick their stripe by, is near-uniform. The empty key
+// collide and that fp[15], the byte ShardedStore and SpillStore pick their
+// stripe by, is near-uniform. The empty key
 // is among them: under seed 0 it hashes to all zeros, which no store
 // treats specially (and no State.Key is empty).
 func TestFingerprintDispersion(t *testing.T) {

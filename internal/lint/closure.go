@@ -34,25 +34,21 @@ type EntryPoints struct {
 	Structs []string
 }
 
-// DefaultEntryPoints returns the engine root set: the six exploration
-// entry functions, the liveness oracle and the DPOR drivers (sequential
-// and speculative parallel); the store, expander and local-state
-// interfaces; and the protocol/property/options callback structs through
-// which user code is invoked by the engines.
+// DefaultEntryPoints returns the engine root set: the four stateful
+// exploration entry functions, the liveness oracle and the DPOR drivers;
+// the store, expander and local-state interfaces; and the
+// protocol/property/options callback structs through which user code is
+// invoked by the engines.
 func DefaultEntryPoints() *EntryPoints {
 	return &EntryPoints{
 		Funcs: []string{
 			"internal/explore.BFS",
 			"internal/explore.DFS",
 			"internal/explore.ParallelBFS",
-			"internal/explore.ParallelDFS",
 			"internal/explore.NDFS",
-			"internal/explore.ParallelNDFS",
 			"internal/liveness.Oracle",
 			"internal/dpor.Explore",
 			"internal/dpor.ExploreWith",
-			"internal/dpor.ExploreParallel",
-			"internal/dpor.ExploreParallelWith",
 		},
 		Ifaces: []string{
 			"internal/explore.Store",

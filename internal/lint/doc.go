@@ -24,8 +24,7 @@
 // DefaultEntryPoints declares the roots, matched by import-path suffix:
 //
 //   - functions: the search drivers (internal/explore BFS, DFS,
-//     ParallelBFS, ParallelDFS, NDFS, ParallelNDFS), internal/dpor
-//     Explore/ExploreWith/ExploreParallel/ExploreParallelWith,
+//     ParallelBFS, NDFS), internal/dpor Explore/ExploreWith,
 //     internal/liveness.Oracle;
 //   - interfaces: internal/explore.Store, internal/explore.Expander,
 //     internal/core.LocalState — every method of every in-module

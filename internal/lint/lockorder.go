@@ -10,9 +10,9 @@ import (
 
 // LockOrder guards the parallel engines' store tier against deadlock by
 // construction: the sharded and spill stores nest mutexes (a shard lock
-// under the spill registry lock, stripes under the speculation memo),
-// and two code paths that nest the same pair of lock classes in opposite
-// orders can deadlock under the work-stealing scheduler. The analyzer
+// under the spill registry lock), and two code paths that nest the same
+// pair of lock classes in opposite orders can deadlock under the
+// work-stealing scheduler. The analyzer
 // abstracts every sync.Mutex/RWMutex acquisition to a lock class — the
 // owning struct type plus field name (storeShard.mu, SpillStore.spillMu)
 // — records the nesting order each function (and, one package deep, its

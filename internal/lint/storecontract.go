@@ -8,20 +8,19 @@ import (
 // StoreContract polices the hint-only membership probe of the visited
 // stores. `Has(key) bool` is documented as non-authoritative: a store may
 // answer without recording (HasStore), a wrapper may degrade to a blanket
-// "false" (syncStore over a plain Store), and the spill tier may answer
-// from disk state that concurrent inserts are still moving. Branching on
-// it to skip an insert, skip an expansion, or shape a verdict is only
-// sound at the handful of sites whose surrounding algorithm tolerates
-// both stale answers — the BFS queue proviso's level snapshot and the
-// parallel engines' speculation memos. Every other call in a
-// deterministic package is reported.
+// "false" when its inner store cannot answer, and the spill tier may
+// answer from disk state that concurrent inserts are still moving.
+// Branching on it to skip an insert, skip an expansion, or shape a verdict
+// is only sound at sites whose surrounding algorithm tolerates both stale
+// answers — today the BFS queue proviso's level snapshot. Every other call
+// in a deterministic package is reported.
 //
 // Escapes: a method itself named Has (interface delegation is how the
 // store wrappers compose), or `//lint:has-ok <reason>` citing why a stale
 // or degraded answer stays sound at this site.
 var StoreContract = &Analyzer{
 	Name: "storecontract",
-	Doc:  "flag authoritative use of the hint-only Store.Has probe outside the documented memo/proviso sites",
+	Doc:  "flag authoritative use of the hint-only Store.Has probe outside the documented proviso sites",
 	Run:  runStoreContract,
 }
 

@@ -38,9 +38,9 @@ func skipInsert(s *Store, key string) {
 	s.Seen(key)
 }
 
-// allowed: annotated memo site — staleness costs duplicated work only.
-func speculate(s *Store, key string) bool {
-	//lint:has-ok speculation memo: a stale answer re-explores a subtree, it never shapes a verdict
+// allowed: annotated hint site — staleness costs duplicated work only.
+func annotated(s *Store, key string) bool {
+	//lint:has-ok work-skipping hint: a stale answer re-explores a subtree, it never shapes a verdict
 	return s.Has(key)
 }
 

@@ -23,8 +23,8 @@
 // forever.
 //
 // The package is under the determinism contract: monitors and key
-// encodings are pure functions of the state, so NDFS and ParallelNDFS
-// report bit-identical lassos for any worker count. In the store matrix,
+// encodings are pure functions of the state, so NDFS reports bit-identical
+// lassos over every store tier. In the store matrix,
 // liveness runs demand exact visited sets on both the blue and red
 // searches — the facade rejects the lossy bitstate tier for properties,
 // since a hash collision could hide the accepting cycle itself.

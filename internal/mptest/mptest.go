@@ -67,9 +67,8 @@ type GenConfig struct {
 	// MaxRounds bounds each process's per-run round limit (each process
 	// draws a limit in 1..MaxRounds; default 2). Larger values deepen the
 	// state graph — long first-child spines with unexplored siblings
-	// pending at every level — the skewed shape that stresses
-	// ParallelDFS's deep-end sibling stealing, where shallow graphs mostly
-	// exercise its breadth.
+	// pending at every level — the skewed shape that stresses deep search
+	// stacks, where shallow graphs mostly exercise breadth.
 	MaxRounds int
 }
 

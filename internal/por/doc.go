@@ -32,8 +32,8 @@
 // member pulls in (conflicts and still-growing feeders if it is enabled,
 // its necessary enabling set otherwise) depends on the state but not on
 // the seed nor on the rest of the set. Expand therefore computes each row
-// at most once per state, into a pooled scratch (speculators call one
-// Expander concurrently), shares it between all the seeds it tries, and
+// at most once per state, into a pooled scratch (ParallelBFS workers call
+// one Expander concurrently), shares it between all the seeds it tries, and
 // allocates only the subset it returns. The chosen ample set itself is not
 // cached across states: a key for it would have to hold every
 // state-dependent pick (enabled set, local-guard outcomes, pending senders
@@ -44,8 +44,7 @@
 // proviso) in cooperation with the engines of package explore. C3 demands
 // that deferred events cannot be ignored forever around a cycle, and each
 // engine discharges it with the discipline matching its search order: the
-// DFS engines (DFS, and ParallelDFS through its sequential commit walk)
-// promote a reduced expansion to a full one when some successor is on the
+// DFS engines (DFS and NDFS) promote a reduced expansion to a full one when some successor is on the
 // search stack (the classic stack/cycle proviso), while BFS and
 // ParallelBFS promote when every successor of a reduced expansion was
 // already visited before the expanded node's level began (the queue

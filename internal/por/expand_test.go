@@ -398,8 +398,7 @@ func TestExpandAllocations(t *testing.T) {
 }
 
 // TestExpandConcurrent shares one Expander between goroutines, as the
-// speculators of the parallel engines do, and requires each to see the
-// sequential results.
+// ParallelBFS workers do, and requires each to see the sequential results.
 func TestExpandConcurrent(t *testing.T) {
 	exp, states, enabled := expandCorpus(t, 2000)
 	want := make([][]core.Event, len(states))

@@ -94,8 +94,8 @@ type scratch struct {
 	senders []core.ProcessID
 }
 
-// scratchPool lets concurrent Expand callers (the speculators share one
-// Expander) each work on a scratch of their own.
+// scratchPool lets concurrent Expand callers (ParallelBFS workers share
+// one Expander) each work on a scratch of their own.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // getScratch returns a scratch sized for a, with enabled and have empty.

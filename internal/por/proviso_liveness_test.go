@@ -97,9 +97,8 @@ func TestLivenessTrapReducedGraphWithoutProvisoHasNoAcceptingState(t *testing.T)
 }
 
 // TestLivenessTrapSPORNDFSFindsCycle is the positive direction: the real
-// engines (stack proviso on) must find the accepting cycle under
-// reduction, with the proviso firing, and agree bit-for-bit between the
-// sequential and parallel engines.
+// engine (stack proviso on) must find the accepting cycle under
+// reduction, with the proviso firing, and the lasso must replay.
 func TestLivenessTrapSPORNDFSFindsCycle(t *testing.T) {
 	for _, ring := range []int{2, 3, 4, 6} {
 		p, prop, err := mptest.LivenessTrap(ring)
@@ -122,23 +121,6 @@ func TestLivenessTrapSPORNDFSFindsCycle(t *testing.T) {
 		}
 		if _, err := explore.ReplayLasso(p, prop, ref.Trace, ref.CycleLen, ref.Stutter, nil); err != nil {
 			t.Errorf("ring %d: lasso does not replay: %v", ring, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			res, err := explore.ParallelNDFS(p, explore.Options{Expander: exp, Property: prop, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs, fs := comparableStats(res.Stats), comparableStats(ref.Stats)
-			if res.Verdict != ref.Verdict || rs != fs || len(res.Trace) != len(ref.Trace) ||
-				res.CycleLen != ref.CycleLen || res.Stutter != ref.Stutter {
-				t.Errorf("ring %d workers %d: (%s, %+v) vs sequential (%s, %+v)", ring, workers, res.Verdict, rs, ref.Verdict, fs)
-			}
-			for i := range res.Trace {
-				if res.Trace[i].StateKey != ref.Trace[i].StateKey {
-					t.Errorf("ring %d workers %d: trace diverges at step %d", ring, workers, i)
-					break
-				}
-			}
 		}
 	}
 }

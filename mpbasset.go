@@ -15,25 +15,17 @@
 //	res, err := mpbasset.Check(p, mpbasset.Options{Search: mpbasset.SearchSPOR})
 //	fmt.Println(res.Verdict, res.Stats.States)
 //
-// Setting Options.Workers parallelizes the selected engine: the DFS
-// searches (SearchSPOR, SearchUnreduced) run the speculative parallel DFS
-// engine over a sharded concurrent visited-state store — workers steal
-// unexplored sibling subtrees from the deep end of the search stack and
-// expand them ahead of a commit walk that replays the exact sequential
-// order — SearchBFS runs the frontier-parallel BFS engine with its
-// deterministic per-level merge, and SearchDPOR runs the speculative
-// parallel DPOR engine, whose workers claim pending backtrack points and
-// precompute the subtrees below them while the commit walk replays
-// sequential DPOR verbatim. Either way, verdicts, state counts and
-// counterexamples are reproducible and identical to the corresponding
-// sequential search for any worker count. Parallel search is sound for the
-// reduced searches because the expanders and canonicalizers are
-// stateless/read-only, and — like every stateful engine here — it enforces
-// the ignoring proviso, so partial-order reduction stays sound on cyclic
-// state graphs too: the DFS engines re-expand states whose reduced
-// expansion would close a cycle on the search stack, the BFS engines
-// re-expand states whose reduced expansion discovers nothing that was
-// unvisited when their level began (see Result.Stats.ProvisoExpansions).
+// Setting Options.Workers parallelizes SearchBFS: the frontier-parallel
+// BFS engine expands each level over a sharded concurrent visited-state
+// store and commits it with a deterministic per-level merge, so verdicts,
+// state counts and counterexamples are identical to sequential BFS for any
+// worker count. Every other search is one sequential walk and runs the same
+// with or without Workers. Every stateful engine enforces the ignoring
+// proviso, so partial-order reduction stays sound on cyclic state graphs:
+// the DFS engines re-expand states whose reduced expansion would close a
+// cycle on the search stack, the BFS engines re-expand states whose reduced
+// expansion discovers nothing that was unvisited when their level began
+// (see Result.Stats.ProvisoExpansions).
 //
 // Setting Options.StoreBudgetBytes bounds the visited set's memory
 // footprint for beyond-RAM state spaces: the search runs over a two-tier
@@ -54,8 +46,8 @@
 // properties declare which processes they read, transitions of those
 // processes are marked visible (ample-set condition C2), and the same
 // stack proviso that protects safety search protects the cycle detection.
-// Liveness results are deterministic and bit-identical across worker
-// counts and stores, exactly like safety results.
+// Liveness results are deterministic and bit-identical across stores,
+// exactly like safety results.
 //
 // Check is the only code that turns options into a running search: it
 // validates them against one option-compatibility table (Options.Validate),
@@ -168,22 +160,12 @@ type Options struct {
 	// TrackTrace records parent links so BFS can reconstruct
 	// counterexamples (DFS variants always can).
 	TrackTrace bool
-	// Workers > 0 parallelizes the selected search with that many workers.
-	// The DFS searches (SearchSPOR, SearchUnreduced) run the speculative
-	// parallel DFS engine over a sharded concurrent visited-state store:
-	// workers steal unexplored sibling subtrees from the deep end of the
-	// search stack and precompute their expansions, while a commit walk
-	// replays the exact sequential DFS order — results are bit-identical
-	// to the sequential search for any worker count. SearchBFS runs the
-	// frontier-parallel BFS engine (deterministic per-level merge,
-	// identical to sequential BFS). SearchDPOR runs the speculative
-	// parallel DPOR engine: workers claim pending backtrack points and
-	// precompute the subtrees below them, while the commit walk replays
-	// sequential DPOR verbatim — again bit-identical for any worker
-	// count. All are sound on every model, cyclic ones included: the
-	// expanders and canon functions are stateless/read-only, and each
-	// stateful engine enforces its variant of the ignoring proviso. Only
-	// SearchStateless does not support workers (-workers in the CLIs).
+	// Workers > 0 runs SearchBFS on the frontier-parallel BFS engine with
+	// that many workers, over a sharded concurrent visited-state store
+	// (deterministic per-level merge, identical to sequential BFS for any
+	// worker count). Every other search accepts Workers and ignores it:
+	// DFS, nested DFS, stateless search and DPOR are each one sequential
+	// walk (-workers in the CLIs).
 	Workers int
 	// ChunkSize fixes how many frontier nodes a parallel BFS worker claims
 	// per grab; 0 means adaptive (frontier/(workers*8), clamped to
@@ -194,13 +176,6 @@ type Options struct {
 	// batch instead of per key); 0 means the default of 64. Only accepted
 	// with Workers > 0 and SearchBFS.
 	BatchSize int
-	// StealDepth bounds one stolen subtree's speculation in the parallel
-	// DFS and DPOR searches: a worker explores at most this many events
-	// below a stolen sibling (or backtrack point) before reporting back
-	// and stealing afresh; 0 means the default of 8. It tunes throughput
-	// only and never changes results. Only accepted with Workers > 0 and
-	// the DFS searches (SearchSPOR, SearchUnreduced) or SearchDPOR.
-	StealDepth int
 	// ExactStates stores full state keys instead of 128-bit fingerprints
 	// (more memory, zero collision risk). Incompatible with
 	// StoreBudgetBytes: the spill tier stores fingerprints only.
@@ -256,10 +231,9 @@ type Options struct {
 	MaxDuration time.Duration
 	// Property, when non-nil, checks this Büchi liveness property instead
 	// of the protocol's safety invariant. Only the DFS searches (SearchSPOR,
-	// SearchUnreduced) support it — they run nested depth-first search,
-	// parallelized deterministically when Workers > 0 — and the protocol is
-	// automatically instrumented for the property (its transitions marked
-	// visible) before any reduction is built. A counterexample is a lasso:
+	// SearchUnreduced) support it — they run nested depth-first search —
+	// and the protocol is automatically instrumented for the property (its
+	// transitions marked visible) before any reduction is built. A counterexample is a lasso:
 	// Result.Trace holds stem + cycle, with Result.CycleLen and
 	// Result.Stutter describing the cycle. When Property.WeakFair is set the
 	// search ignores reduction and explores the full state graph: the
@@ -282,7 +256,6 @@ const (
 	hasWorkers
 	hasChunkSize
 	hasBatchSize
-	hasStealDepth
 	hasExactStates
 	hasBudget
 	hasSpillDir
@@ -315,7 +288,6 @@ func (o *Options) facts() facts {
 		{o.Workers > 0, hasWorkers},
 		{o.ChunkSize != 0, hasChunkSize},
 		{o.BatchSize != 0, hasBatchSize},
-		{o.StealDepth != 0, hasStealDepth},
 		{o.ExactStates, hasExactStates},
 		{o.StoreBudgetBytes > 0, hasBudget},
 		{o.SpillDir != "", hasSpillDir},
@@ -356,13 +328,10 @@ var rules = [...]struct {
 	{hasCompress | hasSymmetry, 0, "Compress (-compress) is incompatible with SymmetryRoles (-symmetry): symmetry reduction installs its own canonicalizer"},
 	{hasBudget | hasExactStates, 0, "StoreBudgetBytes (-mem-budget) is incompatible with ExactStates: the spill tier stores 128-bit fingerprints only"},
 	{hasBudget, searchStateful, "StoreBudgetBytes (-mem-budget) requires a stateful search (stateless and DPOR searches keep no visited set to spill)"},
-	{hasWorkers | searchStateless, 0, "Workers (-workers) is not supported by SearchStateless (-search stateless): no parallel engine exists for it (SearchDPOR has one)"},
 	{hasChunkSize, hasWorkers, "ChunkSize (-chunk) requires Workers (-workers): it tunes the parallel BFS scheduler's claim size"},
-	{hasChunkSize, searchBFS, "ChunkSize (-chunk) requires SearchBFS (-search bfs): it tunes the parallel BFS frontier scheduler; the DFS and DPOR searches tune StealDepth (-steal-depth) instead"},
+	{hasChunkSize, searchBFS, "ChunkSize (-chunk) requires SearchBFS (-search bfs): it tunes the parallel BFS frontier scheduler"},
 	{hasBatchSize, hasWorkers, "BatchSize (-batch) requires Workers (-workers): it tunes the parallel BFS visited-set insert batching"},
-	{hasBatchSize, searchBFS, "BatchSize (-batch) requires SearchBFS (-search bfs): it tunes the parallel BFS insert batching; the DFS and DPOR searches tune StealDepth (-steal-depth) instead"},
-	{hasStealDepth, hasWorkers, "StealDepth (-steal-depth) requires Workers (-workers): it tunes parallel DFS/DPOR subtree speculation"},
-	{hasStealDepth, searchDFS | searchDPOR, "StealDepth (-steal-depth) requires a DFS search or SearchDPOR (-search dpor): it tunes subtree speculation; SearchBFS tunes ChunkSize/BatchSize (-chunk/-batch) instead"},
+	{hasBatchSize, searchBFS, "BatchSize (-batch) requires SearchBFS (-search bfs): it tunes the parallel BFS insert batching"},
 }
 
 // Validate reports the first row of the option-compatibility table that o
@@ -386,20 +355,17 @@ type engine struct {
 	run  func(*core.Protocol, explore.Options) (*explore.Result, error)
 }
 
-// engines lists the nine search engines; the first row whose facts all
-// hold is the one a validated Options value runs. Each stateful search
-// pairs a sequential engine with a parallel one that reproduces it
-// bit-identically, and a liveness property swaps the DFS pair for the
-// nested (NDFS) pair.
+// engines lists the six search engines; the first row whose facts all
+// hold is the one a validated Options value runs. Workers selects the
+// frontier-parallel BFS engine, which reproduces sequential BFS
+// bit-identically; every other search has one engine. A liveness property
+// swaps DFS for nested DFS (NDFS).
 var engines = [...]engine{
-	{searchDFS | hasProperty | hasWorkers, "speculative parallel NDFS", explore.ParallelNDFS},
 	{searchDFS | hasProperty, "NDFS", explore.NDFS},
-	{searchDFS | hasWorkers, "speculative parallel DFS", explore.ParallelDFS},
 	{searchDFS, "DFS", explore.DFS},
 	{searchBFS | hasWorkers, "frontier-parallel BFS", explore.ParallelBFS},
 	{searchBFS, "BFS", explore.BFS},
 	{searchStateless, "stateless DFS", explore.StatelessDFS},
-	{searchDPOR | hasWorkers, "speculative parallel DPOR", dpor.ExploreParallel},
 	{searchDPOR, "DPOR", dpor.Explore},
 }
 
@@ -445,7 +411,6 @@ func Prepare(p *Protocol, opts Options) (*Plan, error) {
 		Workers:     opts.Workers,
 		ChunkSize:   opts.ChunkSize,
 		BatchSize:   opts.BatchSize,
-		StealDepth:  opts.StealDepth,
 		Property:    opts.Property,
 	}}
 	if opts.SymmetryRoles != nil {
@@ -480,8 +445,8 @@ func Prepare(p *Protocol, opts Options) (*Plan, error) {
 // traces are over its transitions.
 func (pl *Plan) Protocol() *Protocol { return pl.p }
 
-// Engine names the search engine Run drives, e.g. "DFS" or "speculative
-// parallel NDFS".
+// Engine names the search engine Run drives, e.g. "DFS" or
+// "frontier-parallel BFS".
 func (pl *Plan) Engine() string { return pl.engine.name }
 
 // Permutations is the size of the symmetry group built from
@@ -498,6 +463,9 @@ func (pl *Plan) Run() (*Result, error) {
 		coll = explore.NewCollapser()
 		xo.Canon = coll.Canon
 	}
+	// Only the frontier-parallel BFS engine touches the store from more
+	// than one goroutine; every other engine gets a plain one.
+	parallel := o.Workers > 0 && o.Search == SearchBFS
 	var spill *explore.SpillStore
 	switch {
 	case o.Lossy:
@@ -509,9 +477,9 @@ func (pl *Plan) Run() (*Result, error) {
 			return nil, err
 		}
 		xo.Store = spill
-	case o.Workers > 0 && o.ExactStates:
+	case parallel && o.ExactStates:
 		xo.Store = explore.NewShardedExactStore()
-	case o.Workers > 0:
+	case parallel:
 		xo.Store = explore.NewShardedHashStore()
 	case o.ExactStates:
 		xo.Store = explore.NewExactStore()
@@ -534,7 +502,7 @@ func (pl *Plan) Run() (*Result, error) {
 	// them so callers (Replay with a nil canon, DOT rendering) always see
 	// the states' full canonical keys, regardless of Compress. This also
 	// restores bit-identical traces across worker counts: intern IDs depend
-	// on the parallel engines' visit order, full keys do not.
+	// on the parallel BFS engine's visit order, full keys do not.
 	if coll != nil {
 		if xerr := coll.ExpandTrace(res.Trace); xerr != nil {
 			return nil, fmt.Errorf("mpbasset: decompressing counterexample trace: %w", xerr)

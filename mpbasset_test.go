@@ -124,40 +124,36 @@ func TestCheckFindsBugsWithTraces(t *testing.T) {
 	}
 }
 
-// TestCheckWorkers drives the parallel engines through the facade: every
-// stateful search under Workers must reproduce its own sequential run —
-// the DFS searches (SPOR, unreduced) via the speculative parallel DFS
-// engine, SearchBFS via the frontier-parallel BFS engine — for several
-// worker counts, with and without symmetry/refinement, and the stateless
-// searches must reject workers.
+// TestCheckWorkers drives the parallel BFS engine through the facade: under
+// Workers, SearchBFS must reproduce its sequential run for several worker
+// counts, with and without symmetry/refinement, and keep its
+// counterexample traces.
 func TestCheckWorkers(t *testing.T) {
 	cfg := paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1}
 	p, err := paxos.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, search := range []mpbasset.Search{mpbasset.SearchSPOR, mpbasset.SearchUnreduced, mpbasset.SearchBFS} {
-		seq, err := mpbasset.Check(p, mpbasset.Options{Search: search, MaxDuration: 2 * time.Minute})
+	seq, err := mpbasset.Check(p, mpbasset.Options{Search: mpbasset.SearchBFS, MaxDuration: 2 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := mpbasset.Check(p, mpbasset.Options{Search: mpbasset.SearchBFS, Workers: workers, MaxDuration: 2 * time.Minute})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
-		for _, workers := range []int{1, 4} {
-			res, err := mpbasset.Check(p, mpbasset.Options{Search: search, Workers: workers, MaxDuration: 2 * time.Minute})
-			if err != nil {
-				t.Fatalf("search %d workers %d: %v", search, workers, err)
-			}
-			if res.Verdict != mpbasset.VerdictVerified {
-				t.Errorf("search %d workers %d: verdict %s", search, workers, res.Verdict)
-			}
-			if res.Stats.States != seq.Stats.States || res.Stats.Events != seq.Stats.Events {
-				t.Errorf("search %d workers %d: states=%d events=%d, sequential states=%d events=%d",
-					search, workers, res.Stats.States, res.Stats.Events, seq.Stats.States, seq.Stats.Events)
-			}
+		if res.Verdict != mpbasset.VerdictVerified {
+			t.Errorf("workers %d: verdict %s", workers, res.Verdict)
+		}
+		if res.Stats.States != seq.Stats.States || res.Stats.Events != seq.Stats.Events {
+			t.Errorf("workers %d: states=%d events=%d, sequential states=%d events=%d",
+				workers, res.Stats.States, res.Stats.Events, seq.Stats.States, seq.Stats.Events)
 		}
 	}
 	// Symmetry + refinement + workers through the facade.
 	sym, err := mpbasset.Check(p, mpbasset.Options{
-		Search: mpbasset.SearchSPOR, Split: mpbasset.SplitCombined,
+		Search: mpbasset.SearchBFS, Split: mpbasset.SplitCombined,
 		SymmetryRoles: cfg.Roles(), Workers: 4, MaxDuration: 2 * time.Minute,
 	})
 	if err != nil {
@@ -178,34 +174,84 @@ func TestCheckWorkers(t *testing.T) {
 	if ce.Verdict != mpbasset.VerdictViolated || len(ce.Trace) == 0 {
 		t.Errorf("faulty paxos with workers: verdict %s, trace %d steps", ce.Verdict, len(ce.Trace))
 	}
-	// SearchDPOR + Workers runs the speculative parallel DPOR engine,
-	// bit-identical to the sequential DPOR run (single-message models only,
-	// so it gets its own protocol instance).
+}
+
+// TestWorkersLeaveSequentialSearchesUnchanged pins what Workers means off
+// SearchBFS: nothing. The depth-first searches are one sequential walk
+// each, so a run with Workers must pick the same engine and give the same
+// verdict, statistics and trace as the run without — for static POR
+// (verified and violating), DPOR, stateless search and a liveness
+// property, on one bundled model each.
+func TestWorkersLeaveSequentialSearchesUnchanged(t *testing.T) {
+	px, err := paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1, Faulty: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	single, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1, Model: paxos.ModelSingle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dporSeq, err := mpbasset.Check(single, mpbasset.Options{Search: mpbasset.SearchDPOR, MaxDuration: 2 * time.Minute})
+	stCfg := storage.Config{Objects: 3, Readers: 1}
+	st, err := storage.New(stCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		res, err := mpbasset.Check(single, mpbasset.Options{Search: mpbasset.SearchDPOR, Workers: workers, MaxDuration: 2 * time.Minute})
-		if err != nil {
-			t.Fatalf("dpor workers %d: %v", workers, err)
-		}
-		if res.Verdict != dporSeq.Verdict {
-			t.Errorf("dpor workers %d: verdict %s, sequential %s", workers, res.Verdict, dporSeq.Verdict)
-		}
-		if res.Stats.States != dporSeq.Stats.States || res.Stats.Events != dporSeq.Stats.Events {
-			t.Errorf("dpor workers %d: states=%d events=%d, sequential states=%d events=%d",
-				workers, res.Stats.States, res.Stats.Events, dporSeq.Stats.States, dporSeq.Stats.Events)
-		}
-	}
-	// The stateless search is the only engine without a parallel
-	// counterpart; its rejection names the CLI flag spelling.
-	if _, err := mpbasset.Check(p, mpbasset.Options{Search: mpbasset.SearchStateless, Workers: 2}); err == nil {
-		t.Error("stateless search accepted Workers")
+	for _, tc := range []struct {
+		name string
+		p    *mpbasset.Protocol
+		opts mpbasset.Options
+	}{
+		{"spor", px, mpbasset.Options{Search: mpbasset.SearchSPOR}},
+		{"spor-violating", faulty, mpbasset.Options{Search: mpbasset.SearchSPOR}},
+		{"dpor", single, mpbasset.Options{Search: mpbasset.SearchDPOR}},
+		{"stateless", single, mpbasset.Options{Search: mpbasset.SearchStateless, MaxStates: 5000}},
+		{"liveness", st, mpbasset.Options{Search: mpbasset.SearchSPOR, Property: storage.ReadsComplete(stCfg)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seqPlan, err := mpbasset.Prepare(tc.p, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := seqPlan.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			withWorkers := tc.opts
+			withWorkers.Workers = 2
+			plan, err := mpbasset.Prepare(tc.p, withWorkers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Engine() != seqPlan.Engine() {
+				t.Errorf("engine %q with Workers, %q without", plan.Engine(), seqPlan.Engine())
+			}
+			res, err := plan.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Verdict != seq.Verdict || res.CycleLen != seq.CycleLen || res.Stutter != seq.Stutter {
+				t.Errorf("verdict (%s, %d, %v) with Workers, (%s, %d, %v) without",
+					res.Verdict, res.CycleLen, res.Stutter, seq.Verdict, seq.CycleLen, seq.Stutter)
+			}
+			rs, ws := res.Stats, seq.Stats
+			eval.MaskVolatileStats(&rs)
+			eval.MaskVolatileStats(&ws)
+			if rs != ws {
+				t.Errorf("stats %+v with Workers, %+v without", rs, ws)
+			}
+			if len(res.Trace) != len(seq.Trace) {
+				t.Fatalf("trace length %d with Workers, %d without", len(res.Trace), len(seq.Trace))
+			}
+			for i := range res.Trace {
+				if res.Trace[i].StateKey != seq.Trace[i].StateKey || res.Trace[i].Event.Key() != seq.Trace[i].Event.Key() {
+					t.Fatalf("trace step %d diverges", i)
+				}
+			}
+		})
 	}
 }
 
@@ -228,7 +274,7 @@ func TestCheckStoreBudget(t *testing.T) {
 		opts mpbasset.Options
 	}{
 		{"sequential-spor", verified, mpbasset.Options{}},
-		{"parallel-spor", verified, mpbasset.Options{Workers: 4}},
+		{"parallel-bfs", verified, mpbasset.Options{Search: mpbasset.SearchBFS, Workers: 4}},
 		{"bfs-violating", violating, mpbasset.Options{Search: mpbasset.SearchBFS, TrackTrace: true}},
 	}
 	for _, tc := range cases {
@@ -302,8 +348,7 @@ func TestCheckExactStates(t *testing.T) {
 }
 
 // TestCheckLiveness drives the liveness path through the facade: verified
-// and violated properties, sequential and parallel, in-memory and spill
-// stores, with the lasso fields populated on violations and the
+// and violated properties, in-memory and spill stores, with the lasso fields populated on violations and the
 // unsupported-search combinations rejected.
 func TestCheckLiveness(t *testing.T) {
 	st, err := storage.New(storage.Config{Objects: 3, Readers: 1})
@@ -318,7 +363,6 @@ func TestCheckLiveness(t *testing.T) {
 	}{
 		{"spor", mpbasset.Options{Property: prop}},
 		{"unreduced", mpbasset.Options{Search: mpbasset.SearchUnreduced, Property: prop}},
-		{"spor-workers", mpbasset.Options{Property: prop, Workers: 4}},
 		{"spor-spill", mpbasset.Options{Property: prop, StoreBudgetBytes: 1 << 10}},
 	} {
 		res, err := mpbasset.Check(st, tc.opts)
@@ -395,9 +439,9 @@ func TestCheckCompress(t *testing.T) {
 		opts mpbasset.Options
 	}{
 		{"sequential-spor", verified, mpbasset.Options{TrackTrace: true}},
-		{"parallel-spor", verified, mpbasset.Options{TrackTrace: true, Workers: 4}},
+		{"parallel-bfs", verified, mpbasset.Options{Search: mpbasset.SearchBFS, TrackTrace: true, Workers: 4}},
 		{"violating-dfs", violating, mpbasset.Options{Search: mpbasset.SearchUnreduced, TrackTrace: true}},
-		{"violating-parallel", violating, mpbasset.Options{TrackTrace: true, Workers: 4}},
+		{"violating-parallel", violating, mpbasset.Options{Search: mpbasset.SearchBFS, TrackTrace: true, Workers: 4}},
 		{"violating-bfs", violating, mpbasset.Options{Search: mpbasset.SearchBFS, TrackTrace: true}},
 		{"spill", verified, mpbasset.Options{TrackTrace: true, StoreBudgetBytes: 2048}},
 	} {
@@ -456,7 +500,7 @@ func TestCheckLossy(t *testing.T) {
 	}{
 		{"default-size", mpbasset.Options{Lossy: true}},
 		{"tiny", mpbasset.Options{Lossy: true, BitstateBytes: 64}},
-		{"parallel", mpbasset.Options{Lossy: true, Workers: 4}},
+		{"parallel", mpbasset.Options{Lossy: true, Search: mpbasset.SearchBFS, Workers: 4}},
 		{"bfs", mpbasset.Options{Lossy: true, Search: mpbasset.SearchBFS}},
 		{"compressed", mpbasset.Options{Lossy: true, Compress: true}},
 	} {
@@ -571,13 +615,10 @@ func TestOptionRules(t *testing.T) {
 		{mpbasset.Options{Compress: true, SymmetryRoles: fx.roles}, "SymmetryRoles", "-symmetry"},
 		{mpbasset.Options{StoreBudgetBytes: 1 << 20, ExactStates: true}, "ExactStates", "-mem-budget"},
 		{mpbasset.Options{Search: dpor, StoreBudgetBytes: 1 << 20}, "StoreBudgetBytes", "-mem-budget"},
-		{mpbasset.Options{Search: stateless, Workers: 2}, "Workers", "-workers"},
 		{mpbasset.Options{Search: bfs, ChunkSize: 16}, "ChunkSize", "-chunk"},
 		{mpbasset.Options{Workers: 4, ChunkSize: 16}, "ChunkSize", "-search bfs"},
 		{mpbasset.Options{Search: bfs, BatchSize: 64}, "BatchSize", "-batch"},
 		{mpbasset.Options{Workers: 4, BatchSize: 64}, "BatchSize", "-search bfs"},
-		{mpbasset.Options{StealDepth: 8}, "StealDepth", "-steal-depth"},
-		{mpbasset.Options{Search: bfs, Workers: 4, StealDepth: 8}, "StealDepth", "-search dpor"},
 	}
 	if len(violations) != len(msgs) {
 		t.Fatalf("%d violating inputs for %d rules: every rule needs exactly one", len(violations), len(msgs))
@@ -604,8 +645,8 @@ func TestOptionRules(t *testing.T) {
 		opts   mpbasset.Options
 		reject string
 	}{
-		// The CLI's parallel-flag rows: -workers picks the engine matching the
-		// search family ("dfs" parses to SearchUnreduced).
+		// The CLI's parallel-flag rows: -workers is accepted with every
+		// search and parallelizes only bfs ("dfs" parses to SearchUnreduced).
 		{"sequential defaults", mpbasset.Options{}, ""},
 		{"workers with spor", mpbasset.Options{Search: spor, Workers: 8}, ""},
 		{"workers with unreduced", mpbasset.Options{Search: unreduced, Workers: 2}, ""},
@@ -613,22 +654,16 @@ func TestOptionRules(t *testing.T) {
 		{"workers with bfs", mpbasset.Options{Search: bfs, Workers: 4}, ""},
 		{"workers with dpor", mpbasset.Options{Search: dpor, Workers: 1}, ""},
 		{"many workers with dpor", mpbasset.Options{Search: dpor, Workers: 8}, ""},
-		{"workers with stateless", mpbasset.Options{Search: stateless, Workers: 4}, "Workers (-workers) is not supported by SearchStateless"},
+		{"workers with stateless", mpbasset.Options{Search: stateless, Workers: 4}, ""},
 		// The three tuning knobs, on the Go API as on the command line.
 		{"workers with bfs knobs", mpbasset.Options{Search: bfs, Workers: 4, ChunkSize: 16, BatchSize: 128}, ""},
 		{"chunk without workers", mpbasset.Options{ChunkSize: 16}, "ChunkSize (-chunk) requires Workers (-workers)"},
 		{"batch without workers", mpbasset.Options{BatchSize: 64}, "BatchSize (-batch) requires Workers (-workers)"},
 		{"both knobs without workers", mpbasset.Options{Search: bfs, ChunkSize: 8, BatchSize: 8}, "ChunkSize (-chunk) requires Workers (-workers)"},
-		{"chunk with parallel dfs", mpbasset.Options{Search: spor, Workers: 4, ChunkSize: 16}, "ChunkSize (-chunk) requires SearchBFS"},
-		{"batch with parallel dfs", mpbasset.Options{Search: unreduced, Workers: 4, BatchSize: 64}, "BatchSize (-batch) requires SearchBFS"},
-		{"chunk with parallel dpor", mpbasset.Options{Search: dpor, Workers: 4, ChunkSize: 16}, "tune StealDepth (-steal-depth) instead"},
-		{"batch with parallel dpor", mpbasset.Options{Search: dpor, Workers: 4, BatchSize: 64}, "tune StealDepth (-steal-depth) instead"},
-		{"steal-depth with spor", mpbasset.Options{Search: spor, Workers: 4, StealDepth: 8}, ""},
-		{"steal-depth with dfs alias", mpbasset.Options{Search: unreduced, Workers: 8, StealDepth: 3}, ""},
-		{"steal-depth with unreduced", mpbasset.Options{Search: unreduced, Workers: 2, StealDepth: 64}, ""},
-		{"steal-depth with dpor", mpbasset.Options{Search: dpor, Workers: 4, StealDepth: 8}, ""},
-		{"steal-depth without workers", mpbasset.Options{StealDepth: 8}, "StealDepth (-steal-depth) requires Workers (-workers)"},
-		{"steal-depth with parallel bfs", mpbasset.Options{Search: bfs, Workers: 4, StealDepth: 8}, "StealDepth (-steal-depth) requires a DFS search or SearchDPOR"},
+		{"chunk with dfs", mpbasset.Options{Search: spor, Workers: 4, ChunkSize: 16}, "ChunkSize (-chunk) requires SearchBFS"},
+		{"batch with dfs", mpbasset.Options{Search: unreduced, Workers: 4, BatchSize: 64}, "BatchSize (-batch) requires SearchBFS"},
+		{"chunk with dpor", mpbasset.Options{Search: dpor, Workers: 4, ChunkSize: 16}, "ChunkSize (-chunk) requires SearchBFS"},
+		{"batch with dpor", mpbasset.Options{Search: dpor, Workers: 4, BatchSize: 64}, "BatchSize (-batch) requires SearchBFS"},
 		// The CLI's spill-flag rows and TestCheckStoreBudgetRejections.
 		{"budget with spor", mpbasset.Options{StoreBudgetBytes: 1 << 20}, ""},
 		{"budget with unreduced", mpbasset.Options{Search: unreduced, StoreBudgetBytes: 1 << 20}, ""},
