@@ -2,6 +2,7 @@ package dpor
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"mpbasset/internal/core"
@@ -42,6 +43,45 @@ func TestSentKeysComputesBagDifference(t *testing.T) {
 	keys := sentKeys(s, ns, ev)
 	if len(keys) != 3 {
 		t.Fatalf("sentKeys = %v, want 3 WRITE messages", keys)
+	}
+}
+
+// TestSentKeysAscendingOnWalkedPath pins sentKeys' documented order along
+// a walked path: every slice is ascending, element for element, because
+// Bag.Each visits messages in key order — not merely the right set, as it
+// was while the bag iterated in map order. The path must pass at least one
+// broadcast, or the order is never exercised.
+func TestSentKeysAscendingOnWalkedPath(t *testing.T) {
+	p := mustStorageT(t)
+	s, err := p.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	broadcasts := 0
+	for depth := 0; depth < 12; depth++ {
+		enabled := p.Enabled(s)
+		if len(enabled) == 0 {
+			break
+		}
+		for _, ev := range enabled {
+			ns, err := p.Execute(s, ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := sentKeys(s, ns, ev)
+			if !sort.StringsAreSorted(keys) {
+				t.Fatalf("depth %d: sent keys %v are not ascending", depth, keys)
+			}
+			if len(keys) > 1 {
+				broadcasts++
+			}
+		}
+		if s, err = p.Execute(s, enabled[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if broadcasts == 0 {
+		t.Fatal("no event on the walked path sent two messages; the order was never exercised")
 	}
 }
 

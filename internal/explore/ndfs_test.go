@@ -281,6 +281,38 @@ func TestNDFSWeakFairnessFlipsVerdict(t *testing.T) {
 	}
 }
 
+// TestNDFSDeterministicRepeats pins NDFS determinism directly: repeated
+// runs over both verdict polarities must be bit-identical every time, so
+// no map-iteration order leaks into the nested search or its lasso.
+func TestNDFSDeterministicRepeats(t *testing.T) {
+	trap, trapProp, err := mptest.LivenessTrap(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stCfg := storage.Config{Objects: 3, Readers: 1}
+	st, err := storage.New(stCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []livenessModel{
+		{name: "liveness-trap-4", p: trap, prop: trapProp},
+		{name: "storage-31", p: st, prop: storage.ReadsComplete(stCfg)},
+	} {
+		var base *explore.Result
+		for i := 0; i < 8; i++ {
+			res, err := explore.NDFS(m.p, explore.Options{Property: m.prop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base == nil {
+				base = res
+				continue
+			}
+			sameLasso(t, m.name, res, base)
+		}
+	}
+}
+
 // TestNDFSLimits checks the limit plumbing: a state bound and a time bound
 // must surface as VerdictLimit, and depth-cut runs must not crash the red
 // sweep's memo-miss path.

@@ -258,7 +258,9 @@ func TestWorkersLeaveSequentialSearchesUnchanged(t *testing.T) {
 // TestCheckStoreBudget drives the facade's spill path: a check under a
 // tiny memory budget must spill to disk, report the spill activity, and
 // reproduce the unconstrained run's verdict and search statistics
-// bit-identically — sequential and parallel, verified and violating.
+// bit-identically — sequential, Workers on the default DFS search (which
+// still runs the sequential engine) and parallel BFS, verified and
+// violating.
 func TestCheckStoreBudget(t *testing.T) {
 	verified, err := paxos.New(paxos.Config{Proposers: 1, Acceptors: 3, Learners: 1})
 	if err != nil {
@@ -274,6 +276,7 @@ func TestCheckStoreBudget(t *testing.T) {
 		opts mpbasset.Options
 	}{
 		{"sequential-spor", verified, mpbasset.Options{}},
+		{"parallel-spor", verified, mpbasset.Options{Workers: 4}},
 		{"parallel-bfs", verified, mpbasset.Options{Search: mpbasset.SearchBFS, Workers: 4}},
 		{"bfs-violating", violating, mpbasset.Options{Search: mpbasset.SearchBFS, TrackTrace: true}},
 	}
@@ -439,6 +442,7 @@ func TestCheckCompress(t *testing.T) {
 		opts mpbasset.Options
 	}{
 		{"sequential-spor", verified, mpbasset.Options{TrackTrace: true}},
+		{"parallel-spor", verified, mpbasset.Options{TrackTrace: true, Workers: 4}},
 		{"parallel-bfs", verified, mpbasset.Options{Search: mpbasset.SearchBFS, TrackTrace: true, Workers: 4}},
 		{"violating-dfs", violating, mpbasset.Options{Search: mpbasset.SearchUnreduced, TrackTrace: true}},
 		{"violating-parallel", violating, mpbasset.Options{Search: mpbasset.SearchBFS, TrackTrace: true, Workers: 4}},
