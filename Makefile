@@ -31,7 +31,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # The bench smoke's fixed work cap: every cell stops at this many states
 # (or the budget), so baseline and CI runs compare like against like.
-BENCH_MAX_STATES ?= 20000
+BENCH_MAX_STATES ?= 100000
 BENCH_BUDGET ?= 30s
 
 .PHONY: all vet build test test-long race fuzz bench bench-smoke bench-ci bench-baseline bench-e2e bench-compare bench-e2e-smoke lint lint-fix lint-abs lint-sarif mplint ci

@@ -14,7 +14,7 @@
 //	mpbench -table 3                 # liveness: NDFS unreduced/SPOR/weakly fair
 //	mpbench -table 4                 # store tiers: collapse + lossy bitstate
 //	mpbench -analysis
-//	mpbench -max-states 20000 -budget 30s -out BENCH_ci.json -baseline BENCH_baseline.json
+//	mpbench -max-states 100000 -budget 30s -out BENCH_ci.json -baseline BENCH_baseline.json
 package main
 
 import (
