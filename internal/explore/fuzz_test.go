@@ -3,7 +3,10 @@
 // size, cycle priority, fault/quorum knobs — or the ignoring trap), and
 // every stateful engine must agree on it, over in-memory and spill-to-disk
 // stores alike. Any divergence in verdict, state count, statistics or
-// replayed trace fails the input. The BFS family (BFS, ParallelBFS on
+// replayed trace fails the input, with one exception: a reduced run that
+// ends in Limit where the unreduced reference found a violation is
+// inconclusive, so the SPOR leg is re-run at a larger cap (or the input is
+// skipped). The BFS family (BFS, ParallelBFS on
 // both insert paths) is held bit-identical to sequential BFS; DFS over
 // every store is held bit-identical to DFS over the in-memory store,
 // unreduced and SPOR-reduced alike.
@@ -59,6 +62,14 @@ import (
 // hit mid-comparison, since a limited run's statistics depend on visit
 // order).
 const fuzzMaxStates = 5000
+
+// fuzzRecheckStates is the cap the SPOR leg is re-run at when a reduced
+// reference ends in Limit where the unreduced reference found a violation.
+// A reduced run explores a subset of the reachable states, so it can
+// outgrow fuzzMaxStates only when the unreduced run stopped early at a
+// violation the reduction defers: that capped run is inconclusive, not
+// unsound.
+const fuzzRecheckStates = 50000
 
 // fuzzEngines is the BFS-side engine matrix of the harness: sequential BFS
 // and DFS plus ParallelBFS at 1 and 4 workers, with adaptive chunks and
@@ -326,6 +337,10 @@ func FuzzEngineAgreement(f *testing.F) {
 	f.Add(int64(7), uint8(2), uint8(3), uint8(3), uint8(1), uint8(2), true, false, true, false, false, false, false)
 	f.Add(int64(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), false, false, false, true, false, false, false)
 	f.Add(int64(0), uint8(0), uint8(2), uint8(0), uint8(0), uint8(0), false, false, false, true, false, false, false)
+	// Unreduced BFS finds this input's violation at 2 states; SPOR BFS
+	// defers it to 10 902, past fuzzMaxStates, so the SPOR leg is re-run
+	// at fuzzRecheckStates.
+	f.Add(int64(28), uint8(2), uint8(0), uint8('J'), uint8('a'), uint8('>'), true, false, false, false, false, false, false)
 
 	// Liveness-mode seeds: the liveness trap at rings 2 and 4 (the proviso
 	// regression, where proviso-free reduction hides the accepting cycle),
@@ -398,7 +413,7 @@ func FuzzEngineAgreement(f *testing.F) {
 		// contracts (see fuzzLossyCheck).
 		fuzzLossyCheck(t, p, ref)
 
-		check := func(label string, eng diffEngine, reduced *por.Expander, want *explore.Result) {
+		check := func(label string, base explore.Options, eng diffEngine, reduced *por.Expander, want *explore.Result) {
 			for _, spillStore := range []struct {
 				name  string
 				store func() explore.Store
@@ -406,7 +421,7 @@ func FuzzEngineAgreement(f *testing.F) {
 				{"mem", func() explore.Store { return explore.NewHashStore() }},
 				{"spill", func() explore.Store { return tinySpill(t, 512) }},
 			} {
-				run := xo
+				run := base
 				run.Store = spillStore.store()
 				if reduced != nil {
 					run.Expander = reduced
@@ -465,10 +480,10 @@ func FuzzEngineAgreement(f *testing.F) {
 		// Unreduced: every engine over both stores against its family
 		// reference.
 		for _, eng := range fuzzEngines() {
-			check("unreduced", eng, nil, ref)
+			check("unreduced", xo, eng, nil, ref)
 		}
 		for _, eng := range fuzzDFSEngines() {
-			check("unreduced", eng, nil, dfsRef)
+			check("unreduced", xo, eng, nil, dfsRef)
 		}
 
 		// SPOR-reduced: the BFS family must be bit-identical to the
@@ -481,22 +496,30 @@ func FuzzEngineAgreement(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		redRef := xo
-		redRef.Store = explore.NewHashStore()
-		redRef.Expander = exp
-		red, err := explore.BFS(p, redRef)
-		if err != nil {
-			t.Fatal(err)
+		reducedRef := func(engine func(*core.Protocol, explore.Options) (*explore.Result, error), base explore.Options) *explore.Result {
+			run := base
+			run.Store = explore.NewHashStore()
+			run.Expander = exp
+			res, err := engine(p, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		spor := xo
+		red, dfsRed := reducedRef(explore.BFS, spor), reducedRef(explore.DFS, spor)
+		if ref.Verdict == explore.VerdictViolated &&
+			(red.Verdict == explore.VerdictLimit || dfsRed.Verdict == explore.VerdictLimit) {
+			// Inconclusive, not unsound (see fuzzRecheckStates): re-run
+			// the whole SPOR leg at the larger cap, or skip it.
+			spor.MaxStates = fuzzRecheckStates
+			red, dfsRed = reducedRef(explore.BFS, spor), reducedRef(explore.DFS, spor)
+			if red.Verdict == explore.VerdictLimit || dfsRed.Verdict == explore.VerdictLimit {
+				t.Skip("a reduced run outgrows the recheck cap before the violation")
+			}
 		}
 		if red.Verdict != ref.Verdict {
 			t.Errorf("reduced BFS verdict %s, unreduced %s (POR unsound on this input)", red.Verdict, ref.Verdict)
-		}
-		dfsRedRef := xo
-		dfsRedRef.Store = explore.NewHashStore()
-		dfsRedRef.Expander = exp
-		dfsRed, err := explore.DFS(p, dfsRedRef)
-		if err != nil {
-			t.Fatal(err)
 		}
 		if dfsRed.Verdict != ref.Verdict {
 			t.Errorf("reduced DFS verdict %s, unreduced %s (stack proviso unsound on this input)", dfsRed.Verdict, ref.Verdict)
@@ -506,10 +529,10 @@ func FuzzEngineAgreement(f *testing.F) {
 			if !eng.strict {
 				want = nil
 			}
-			check("spor", eng, exp, want)
+			check("spor", spor, eng, exp, want)
 		}
 		for _, eng := range fuzzDFSEngines() {
-			check("spor", eng, exp, dfsRed)
+			check("spor", spor, eng, exp, dfsRed)
 		}
 	})
 }
