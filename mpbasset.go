@@ -25,7 +25,8 @@
 // the DFS engines re-expand states whose reduced expansion would close a
 // cycle on the search stack, the BFS engines re-expand states whose reduced
 // expansion discovers nothing that was unvisited when their level began
-// (see Result.Stats.ProvisoExpansions).
+// (see Result.Stats.ProvisoExpansions). The facade reduces SearchSPOR only;
+// reduced BFS is an option of package internal/explore.
 //
 // Setting Options.StoreBudgetBytes bounds the visited set's memory
 // footprint for beyond-RAM state spaces: the search runs over a two-tier
@@ -130,9 +131,11 @@ const (
 	SearchSPOR Search = iota + 1
 	// SearchUnreduced is plain stateful DFS.
 	SearchUnreduced
-	// SearchBFS is stateful BFS (shortest counterexamples). Safe to
-	// combine with reduction on any model: the queue variant of the
-	// ignoring proviso keeps POR sound on cyclic state graphs.
+	// SearchBFS is stateful BFS (shortest counterexamples), unreduced:
+	// Prepare attaches the static POR expander for SearchSPOR only, which
+	// always runs DFS. Reduced BFS, with the queue variant of the ignoring
+	// proviso, is an option of package internal/explore only
+	// (explore.Options.Expander).
 	SearchBFS
 	// SearchStateless is depth-first search without a visited set.
 	SearchStateless
