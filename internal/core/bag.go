@@ -98,7 +98,7 @@ func (b *Bag) Len() int { return b.size }
 func (b *Bag) Distinct() int { return len(b.entries) }
 
 // Clone returns an independent copy of the bag; the two share the immutable
-// message records. Execute does not clone: see successor.
+// message records. Execute does not clone: see appendSuccessor.
 func (b *Bag) Clone() *Bag {
 	return &Bag{entries: append([]bagEntry(nil), b.entries...), size: b.size}
 }
@@ -237,28 +237,36 @@ func (b *Bag) locate(dst []int, msgs []Message) ([]int, *Message) {
 	return dst, nil
 }
 
-// successor returns the bag that results from removing one copy at each
-// position of drop (ascending, as locate returns them) and then adding
-// sends, which must be sorted by key with the keys cached. It is one merge
-// into one allocation: unchanged entries are copied in runs and share their
-// records with b; a message b never held gets &sends[i] as its record, so
-// sends belongs to the result from here on.
-func (b *Bag) successor(drop []int, sends []Message) Bag {
-	old := b.entries
-	// Each send adds at most one entry and each position dropped to zero
-	// frees one, so this capacity is never exceeded, and it is exact unless
-	// a send repeats another or tops up an entry that stays.
+// successorLen returns a bound on the number of entries of the bag that
+// results from removing one copy at each position of drop (ascending, as
+// locate returns them) and then adding sends: each send adds at most one
+// entry and each position dropped to zero frees one. The bound is exact
+// unless a send repeats another or tops up an entry that stays.
+func (b *Bag) successorLen(drop []int, sends []Message) int {
 	zeroed := 0
 	for d := 0; d < len(drop); {
 		pos, k := drop[d], 0
 		for ; d < len(drop) && drop[d] == pos; d++ {
 			k++
 		}
-		if k == old[pos].n {
+		if k == b.entries[pos].n {
 			zeroed++
 		}
 	}
-	out := make([]bagEntry, 0, len(old)-zeroed+len(sends))
+	return len(b.entries) - zeroed + len(sends)
+}
+
+// appendSuccessor appends to out the entries of the bag that results from
+// removing one copy at each position of drop (ascending, as locate returns
+// them) and then adding sends, which must be sorted by key with the keys
+// cached, and appends to fresh the position in out of every entry whose
+// record is a send: a message b never held gets &sends[i] as its record.
+// It is one merge: unchanged entries are copied in runs and share their
+// records with b. The result is only as durable as sends, which StepBuffer
+// reuses; StepBuffer.Keep copies the fresh records out. It appends at most
+// successorLen(drop, sends) entries.
+func (b *Bag) appendSuccessor(out []bagEntry, fresh []int, drop []int, sends []Message) ([]bagEntry, []int) {
+	old := b.entries
 	i, d, s := 0, 0, 0
 	for d < len(drop) || s < len(sends) {
 		// The next entry that changes is the lower-keyed of the next
@@ -281,6 +289,7 @@ func (b *Bag) successor(drop []int, sends []Message) Bag {
 			}
 		} else {
 			e.msg = &sends[s]
+			fresh = append(fresh, len(out))
 		}
 		for ; s < len(sends) && sends[s].key == e.msg.key; s++ {
 			e.n++
@@ -289,8 +298,7 @@ func (b *Bag) successor(drop []int, sends []Message) Bag {
 			out = append(out, e)
 		}
 	}
-	out = append(out, old[i:]...)
-	return Bag{entries: out, size: b.size - len(drop) + len(sends)}
+	return append(out, old[i:]...), fresh
 }
 
 // keyLen returns len(b.Key()) from the cached message keys.

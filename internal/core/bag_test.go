@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -175,9 +176,13 @@ func TestSenders(t *testing.T) {
 // top up a surviving entry and sends that put a fully consumed message
 // back; senders on both sides of ten make key order and numeric order of
 // the senders differ; one consumed set in four names a message the bag has
-// no copy left of.
+// no copy left of. The merge appends into buffers reused across inputs, as
+// StepBuffer does, and must name as fresh exactly the entries whose record
+// is a send.
 func TestSuccessorAgainstCloneRemoveAdd(t *testing.T) {
 	froms := []ProcessID{0, 1, 2, 9, 10, 11, 100}
+	var out []bagEntry
+	var fresh []int
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		randMsg := func() Message {
@@ -226,13 +231,31 @@ func TestSuccessorAgainstCloneRemoveAdd(t *testing.T) {
 			want.Add(m)
 		}
 		SortMessages(sends)
-		got := parent.successor(drop, sends)
+		out, fresh = parent.appendSuccessor(out[:0], fresh[:0], drop, sends)
+		if bound := parent.successorLen(drop, sends); len(out) > bound {
+			t.Fatalf("seed %d: successor has %d entries, more than the bound %d", seed, len(out), bound)
+		}
+		got := Bag{entries: out, size: parent.Len() - len(drop) + len(sends)}
 		if got.Key() != want.Key() || got.Len() != want.Len() || got.Distinct() != want.Distinct() {
 			t.Fatalf("seed %d: successor of %s minus %v plus %v\n got %s (%d/%d)\nwant %s (%d/%d)", seed, parentKey, consumed, sends,
 				got.Key(), got.Len(), got.Distinct(), want.Key(), want.Len(), want.Distinct())
 		}
-		if cap(got.entries) > len(parent.entries)+len(sends) {
-			t.Fatalf("seed %d: successor allocated %d entries for a parent of %d and %d sends", seed, cap(got.entries), len(parent.entries), len(sends))
+		var wantFresh []int
+		for i, e := range got.entries {
+			if _, held := parent.find(e.msg.key); held {
+				continue
+			}
+			wantFresh = append(wantFresh, i)
+			isSend := false
+			for j := range sends {
+				isSend = isSend || e.msg == &sends[j]
+			}
+			if !isSend {
+				t.Fatalf("seed %d: new entry %s does not have a send as its record", seed, e.msg.key)
+			}
+		}
+		if !slices.Equal(fresh, wantFresh) {
+			t.Fatalf("seed %d: fresh entries %v, want %v", seed, fresh, wantFresh)
 		}
 		if parent.Key() != parentKey {
 			t.Fatalf("seed %d: building the successor changed the parent", seed)

@@ -119,6 +119,50 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
+// Package-level sinks keep the compiler from dropping what the Step
+// benchmarks measure.
+var (
+	sinkState *State
+	sinkKey   string
+)
+
+// BenchmarkExecuteStepKeep and BenchmarkExecuteStepDiscard split
+// BenchmarkExecute's successor into what a search pays for one it keeps,
+// Step and Keep through its own StepBuffer, and for one whose key the
+// visited set already holds, Step and the key alone.
+func BenchmarkExecuteStepKeep(b *testing.B) {
+	p := relayProtocol(b, 3)
+	s := relayState(b, p)
+	ev := p.Enabled(s)[0]
+	var buf StepBuffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view, err := p.Step(&buf, s, ev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkKey = view.Key()
+		sinkState = buf.Keep()
+	}
+}
+
+func BenchmarkExecuteStepDiscard(b *testing.B) {
+	p := relayProtocol(b, 3)
+	s := relayState(b, p)
+	ev := p.Enabled(s)[0]
+	var buf StepBuffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view, err := p.Step(&buf, s, ev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkKey = view.Key()
+	}
+}
+
 // BenchmarkSuccessorKey measures the first Key of such a successor, which
 // is what every search pays per event to probe its store. Successors are
 // built in batches with the timer stopped.

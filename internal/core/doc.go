@@ -25,20 +25,20 @@
 //
 // The Bag of in-flight messages is a slice of (message record,
 // multiplicity) entries sorted by canonical message key. A record is the
-// message with its key cached, allocated once — by Bag.Add, or as a slot of
-// the sending Ctx's buffer — and shared by every bag that ever holds the
-// message, so every message read back from a bag, an Event or a Ctx answers
-// Key() without rebuilding the string — which is also why a sent Message is
-// immutable (see Message). Bag.Each iterates in key order, and matching the
-// pending messages of a transition (AppendMatching, HasMatchingSenders,
-// AppendMatchingSenders) is a scan into caller-owned scratch: Enabled
-// allocates only the events it returns, StructurallyEnabled nothing, and
-// AppendMatchingSenders — one pass that names every allowed sender with a
-// candidate pending, from which package por derives both the senders a
-// disabled transition is missing and the ones that can no longer grow an
-// enabled one — nothing once the caller's scratch has grown. AppendMatching
-// orders senders numerically while keys order them as decimal strings; the
-// two differ from eleven processes on.
+// message with its key cached, allocated once — by Bag.Add, or by
+// StepBuffer.Keep in one block per successor — and shared by every bag that
+// ever holds the message, so every message read back from a bag, an Event
+// or a Ctx answers Key() without rebuilding the string — which is also why
+// a sent Message is immutable (see Message). Bag.Each iterates in key
+// order, and matching the pending messages of a transition (AppendMatching,
+// HasMatchingSenders, AppendMatchingSenders) is a scan into caller-owned
+// scratch: Enabled allocates only the events it returns, StructurallyEnabled
+// nothing, and AppendMatchingSenders — one pass that names every allowed
+// sender with a candidate pending, from which package por derives both the
+// senders a disabled transition is missing and the ones that can no longer
+// grow an enabled one — nothing once the caller's scratch has grown.
+// AppendMatching orders senders numerically while keys order them as
+// decimal strings; the two differ from eleven processes on.
 //
 // A State carries the canonical key of each process's local state, complete
 // from construction. Execute hands the parent's local states and their keys
@@ -55,6 +55,20 @@
 // earlier Apply) corrupts the keys of every state sharing it;
 // Protocol.ValidateSends re-derives the inherited keys on every Execute and
 // fails with the process and transition named.
+//
+// Execute is Step followed by Keep through a pooled StepBuffer. Step
+// computes the successor into memory the buffer owns — the Ctx with its
+// send buffer, a State block that holds the local vectors only when the
+// executing process's key changed, and the merged bag entries — and returns
+// a transient view: a *State that stays valid until the buffer's next Step.
+// Keep hands the view over as an ordinary State, key included if Key has
+// built it, and copies out what the buffer keeps reusing: the records of
+// the messages the parent never held, in one block of their exact number,
+// and the bag entries when they were merged into reused memory. A search that asks its visited set about the view's key first
+// keeps only the successors it has not seen and reuses the buffer's memory
+// for the rest, as package explore's DFS and BFS do; code that hands a view
+// on must not let it, or anything reached through it except strings and
+// local states, outlive the next Step.
 //
 // Everything in this package is deterministic: enumeration orders, state
 // keys and event keys are stable across runs, which makes searches

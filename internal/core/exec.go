@@ -7,7 +7,8 @@ import (
 
 // Ctx is the execution context handed to a transition's Apply: the private
 // clone of the executing process's local state, the consumed messages, and
-// the send primitive. It is valid until Apply returns; Execute reuses it.
+// the send primitive. It is valid until Apply returns; the StepBuffer it
+// lives in reuses it.
 type Ctx struct {
 	// Self is the executing process.
 	Self ProcessID
@@ -48,38 +49,55 @@ func (c *Ctx) Global(p ProcessID) LocalState {
 	panic(fmt.Sprintf("core: transition of process %d reads process %d without declaring it in GlobalReads", c.Self, p))
 }
 
-// ctxPool recycles the contexts Apply runs in, one per concurrent Execute.
-var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
+// StepBuffer is caller-owned memory that successors are computed into: the
+// Ctx a transition runs in with its send buffer, a State block for the
+// successor, and its bag entries. Protocol.Step fills it and returns a
+// transient view of the successor; Keep hands the view over as an ordinary
+// State, and the buffer takes fresh memory for its next Step. A search that
+// asks its visited set about the view's key before keeping it pays for a
+// State block, a bag and message records only for successors it has not
+// seen. The zero value is ready to use. A StepBuffer serves one goroutine
+// at a time.
+type StepBuffer struct {
+	ctx Ctx
+	// view is the last Step's successor: small when it shares the parent's
+	// local vectors, big (which holds them in its own allocation) when the
+	// event changed its process's key. Keep hands it over.
+	view, small, big *State
+	entries          []bagEntry
+	owned            bool  // entries was allocated for view's bag and goes with it
+	fresh            []int // positions in entries whose record is a slot of ctx.sends
+}
 
-// Execute applies event e to state s and returns the successor state
-// (§II-A semantics): the consumed messages are removed, the local state of
-// the executing process is replaced by the result of the transition body,
-// and the sent messages are added. s is not mutated. The successor costs
-// what the event changed: the other processes' local states and their
-// cached keys are inherited, only the executing process's key is taken, and
-// the bag is one merge of s's entries, the consumed set and the sends that
-// shares every untouched message record with s.
-func (p *Protocol) Execute(s *State, e Event) (*State, error) {
+// Step applies event e to state s (§II-A semantics) and returns the
+// successor as a transient view into b: the consumed messages are
+// removed, the local state of the executing process is replaced by the
+// result of the transition body, and the sent messages are added. s is not
+// mutated and must not be a view of b. The view is valid until b's next
+// Step; everything reached through it may then be overwritten, except its
+// strings and the local states, which are immutable. Keep turns it into an
+// ordinary State. The other processes' local states and their cached keys
+// are inherited, only the executing process's key is taken, and the bag is
+// one merge of s's entries, the consumed set and the sends.
+func (p *Protocol) Step(b *StepBuffer, s *State, e Event) (*State, error) {
 	t := e.T
 	var dropBuf [8]int
 	drop, missing := s.Msgs.locate(dropBuf[:0], e.Msgs)
 	if missing != nil {
 		return nil, fmt.Errorf("execute %s: message %s not pending", e, *missing)
 	}
-	ctx := ctxPool.Get().(*Ctx)
-	*ctx = Ctx{
+	b.ctx = Ctx{
 		Self:  t.Proc,
 		Local: s.Locals[t.Proc].Clone(),
 		Msgs:  e.Msgs,
 		t:     t,
 		pre:   s,
+		sends: b.ctx.sends[:0],
 	}
 	if t.Apply != nil {
-		t.Apply(ctx)
+		t.Apply(&b.ctx)
 	}
-	local, sends := ctx.Local, ctx.sends
-	*ctx = Ctx{} // the send buffer now belongs to the successor's bag
-	ctxPool.Put(ctx)
+	local, sends := b.ctx.Local, b.ctx.sends
 	localKey := local.Key()
 	if p.ValidateSends {
 		if t.ReadOnly && localKey != s.localKeys[t.Proc] {
@@ -100,15 +118,83 @@ func (p *Protocol) Execute(s *State, e Event) (*State, error) {
 		}
 	}
 	SortMessages(sends)
-	ns := s.withLocal(t.Proc, local, localKey)
-	ns.bag = s.Msgs.successor(drop, sends)
-	ns.Msgs = &ns.bag
+	if localKey == s.localKeys[t.Proc] {
+		if b.small == nil {
+			b.small = new(State)
+		}
+		b.view = b.small
+		*b.view = State{Locals: s.Locals, localKeys: s.localKeys}
+	} else {
+		if b.big == nil || len(b.big.Locals) != len(s.Locals) {
+			b.big = newLocalsState(len(s.Locals))
+		}
+		b.view = b.big
+		locals, keys := b.view.Locals, b.view.localKeys
+		*b.view = State{Locals: locals, localKeys: keys}
+		copy(locals, s.Locals)
+		copy(keys, s.localKeys)
+		locals[t.Proc], keys[t.Proc] = local, localKey
+	}
+	if n := s.Msgs.successorLen(drop, sends); cap(b.entries) < n {
+		b.entries, b.owned = make([]bagEntry, 0, n), true
+	} else {
+		b.owned = false
+	}
+	b.entries, b.fresh = s.Msgs.appendSuccessor(b.entries[:0], b.fresh[:0], drop, sends)
+	b.view.bag = Bag{entries: b.entries, size: s.Msgs.size - len(drop) + len(sends)}
+	b.view.Msgs = &b.view.bag
 	if p.ValidateSends {
-		if err := p.validateUniqueness(ns); err != nil {
+		if err := p.validateUniqueness(b.view); err != nil {
 			return nil, err
 		}
 	}
-	return ns, nil
+	return b.view, nil
+}
+
+// Keep hands the view the last successful Step returned over to the
+// caller as an ordinary, immutable State, key included if Key has built
+// it, and gives up the memory the view was built in. What the buffer keeps
+// reusing is copied out: the records of the messages the parent never
+// held, into one block of their exact number, and the bag entries, at
+// their exact number, when Step merged them into reused memory rather than
+// allocating them for this successor.
+func (b *StepBuffer) Keep() *State {
+	ns := b.view
+	if ns == b.small {
+		b.small = nil
+	} else {
+		b.big = nil
+	}
+	entries := ns.bag.entries
+	if b.owned {
+		b.entries, b.owned = nil, false
+	} else {
+		entries = append(make([]bagEntry, 0, len(entries)), entries...)
+		ns.bag.entries = entries
+	}
+	if len(b.fresh) > 0 {
+		recs := make([]Message, len(b.fresh))
+		for i, pos := range b.fresh {
+			recs[i] = *entries[pos].msg
+			entries[pos].msg = &recs[i]
+		}
+	}
+	return ns
+}
+
+// stepPool recycles the buffers Execute steps through, one per concurrent
+// Execute.
+var stepPool = sync.Pool{New: func() any { return new(StepBuffer) }}
+
+// Execute applies event e to state s and returns the successor state: Step
+// through a pooled StepBuffer, then Keep.
+func (p *Protocol) Execute(s *State, e Event) (*State, error) {
+	b := stepPool.Get().(*StepBuffer)
+	defer stepPool.Put(b)
+	if _, err := p.Step(b, s, e); err != nil {
+		return nil, err
+	}
+	return b.Keep(), nil
 }
 
 // validateLocalKeys re-derives the key of every local state of s and

@@ -26,10 +26,12 @@ type LocalState interface {
 
 // State is a global protocol state: one local state per process plus the
 // multiset of in-flight messages. States are immutable once constructed and
-// are built by NewState and Protocol.Execute only; a successor shares with
-// its parent the local states, their cached keys and the message records
-// the event left alone — the whole Locals slice, if the executing process's
-// local state came out of the event with the key it went in with.
+// are built by NewState, Protocol.Execute and StepBuffer.Keep only (a
+// transient view from Protocol.Step belongs to its buffer and changes with
+// the next Step); a successor shares with its parent the local states,
+// their cached keys and the message records the event left alone — the
+// whole Locals slice, if the executing process's local state came out of
+// the event with the key it went in with.
 type State struct {
 	Locals []LocalState
 	Msgs   *Bag
@@ -61,32 +63,20 @@ func NewState(locals []LocalState, msgs *Bag) *State {
 // seven processes.
 const inlineProcs = 8
 
-// withLocal returns a state with s's local states, except that process p's
-// is l, whose key is k, and with an empty bag. If k is p's key in s, the
-// event left the process as it was and the new state shares s's local
-// states and keys outright; otherwise they are copied, into the same
-// allocation as the State itself up to inlineProcs processes.
-func (s *State) withLocal(p ProcessID, l LocalState, k string) *State {
-	if k == s.localKeys[p] {
-		return &State{Locals: s.Locals, localKeys: s.localKeys}
-	}
-	n := len(s.Locals)
-	var ns *State
+// newLocalsState returns an empty state with room for n local states and
+// their keys, in the same allocation as the State itself up to inlineProcs
+// processes.
+func newLocalsState(n int) *State {
 	if n > inlineProcs {
-		ns = &State{Locals: make([]LocalState, n), localKeys: make([]string, n)}
-	} else {
-		b := new(struct {
-			s      State
-			locals [inlineProcs]LocalState
-			keys   [inlineProcs]string
-		})
-		ns = &b.s
-		ns.Locals, ns.localKeys = b.locals[:n:n], b.keys[:n:n]
+		return &State{Locals: make([]LocalState, n), localKeys: make([]string, n)}
 	}
-	copy(ns.Locals, s.Locals)
-	copy(ns.localKeys, s.localKeys)
-	ns.Locals[p], ns.localKeys[p] = l, k
-	return ns
+	b := new(struct {
+		s      State
+		locals [inlineProcs]LocalState
+		keys   [inlineProcs]string
+	})
+	b.s.Locals, b.s.localKeys = b.locals[:n:n], b.keys[:n:n]
+	return &b.s
 }
 
 // Key returns the canonical encoding of the state: the local-state keys

@@ -63,13 +63,14 @@ func TestSuccessorAllocations(t *testing.T) {
 	for _, c := range []struct{ sends, want int }{
 		// The state with its local states and keys, and the bag entries;
 		// the local state's Clone and Key, one object each for a
-		// counterState. The Ctx is pooled.
+		// counterState. The StepBuffer, with its Ctx and send buffer, is
+		// pooled.
 		{0, 4},
-		// Plus the send buffer and the message key (an intPayload's own key
-		// is a constant of strconv's).
+		// Plus the message key (an intPayload's own key is a constant of
+		// strconv's) and the new message's record.
 		{1, 6},
-		// The send buffer grows 1, 2, 4.
-		{3, 10},
+		// Three message keys, and one block for the three records.
+		{3, 8},
 	} {
 		p := relayProtocol(t, c.sends)
 		s := relayState(t, p)
@@ -91,6 +92,72 @@ func TestSuccessorAllocations(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { key = ns.Key() }); n != 0 || key == "" {
 			t.Errorf("repeated Key: %v allocations, want 0", n)
+		}
+	}
+}
+
+// TestStepAllocations pins what stepping an event costs when the search
+// then discards the successor: the local state's Clone and Key and one key
+// per sent message, which the transient view's key is built from. The view
+// needs no State block, no bag entries and no records, and once the buffer
+// has grown its send buffer does not grow again.
+func TestStepAllocations(t *testing.T) {
+	for _, sends := range []int{0, 1, 3} {
+		p := relayProtocol(t, sends)
+		s := relayState(t, p)
+		ev := p.Enabled(s)[0]
+		var b StepBuffer
+		var view *State
+		step := func() {
+			var err error
+			if view, err = p.Step(&b, s, ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, want := testing.AllocsPerRun(100, step), float64(2+sends); n != want {
+			t.Errorf("Step with %d sends: %v allocations, want %v", sends, n, want)
+		}
+		kept, err := p.Execute(s, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := view.Key(), kept.Key(); got != want {
+			t.Errorf("Step with %d sends: view key %s, Execute %s", sends, got, want)
+		}
+	}
+}
+
+// TestKeepOutlivesTheBuffer keeps successors of one buffer, steps it again
+// and again, and checks that every kept state still has the key and bag
+// it had when kept, and that a key the view built travels with it.
+func TestKeepOutlivesTheBuffer(t *testing.T) {
+	p := relayProtocol(t, 3)
+	s := relayState(t, p)
+	var b StepBuffer
+	var kept []*State
+	var want []string
+	for i, ev := range p.Enabled(s) {
+		view, err := p.Step(&b, s, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var key string
+		if i%2 == 0 {
+			key = view.Key()
+		}
+		ns := b.Keep()
+		if i%2 == 0 && testing.AllocsPerRun(1, func() { _ = ns.Key() }) != 0 {
+			t.Errorf("event %d: the kept state rebuilt the key its view had built", i)
+		}
+		if key == "" {
+			key = ns.Key()
+		}
+		kept, want = append(kept, ns), append(want, key)
+	}
+	for i, ns := range kept {
+		fresh := NewState(ns.Locals, ns.Msgs.Clone())
+		if ns.Key() != want[i] || fresh.Key() != want[i] {
+			t.Errorf("successor %d: key %s, rebuilt %s, want %s", i, ns.Key(), fresh.Key(), want[i])
 		}
 	}
 }

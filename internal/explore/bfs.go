@@ -112,6 +112,8 @@ func BFS(p *core.Protocol, opts Options) (result *Result, err error) {
 		lim     = newLimiter(opts)
 		limited bool
 		keyBuf  []string
+		step    core.StepBuffer
+		has, _  = store.(HasStore)
 	)
 	defer func() {
 		res.Stats.Duration = lim.elapsed()
@@ -167,7 +169,7 @@ func BFS(p *core.Protocol, opts Options) (result *Result, err error) {
 			chosen = enabled
 		}
 		reduced := len(chosen) < len(enabled)
-		succs, err := execAll(p, n.st, chosen, canon)
+		succs, err := execAll(p, &step, n.st, chosen, canon, has)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +182,7 @@ func BFS(p *core.Protocol, opts Options) (result *Result, err error) {
 				// state is re-expanded fully.
 				reduced = false
 				res.Stats.ProvisoExpansions++
-				if succs, err = execAll(p, n.st, enabled, canon); err != nil {
+				if succs, err = execAll(p, &step, n.st, enabled, canon, has); err != nil {
 					return nil, err
 				}
 			}
@@ -193,7 +195,7 @@ func BFS(p *core.Protocol, opts Options) (result *Result, err error) {
 		for i := range succs {
 			sc := &succs[i]
 			res.Stats.Events++
-			if store.Seen(sc.key) {
+			if sc.st == nil || store.Seen(sc.key) {
 				res.Stats.Revisits++
 				continue
 			}

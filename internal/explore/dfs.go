@@ -4,6 +4,8 @@ import (
 	"mpbasset/internal/core"
 )
 
+// dfsSucc is one successor of an expansion. st is nil when the store
+// already held key as the successor was computed: see execAll.
 type dfsSucc struct {
 	ev  core.Event
 	st  *core.State
@@ -57,6 +59,8 @@ func DFS(p *core.Protocol, opts Options) (result *Result, err error) {
 		sinfo   = &dfsStack{onStack: make(map[string]bool)}
 		limited bool
 		keyBuf  []string
+		step    core.StepBuffer
+		has, _  = store.(HasStore)
 	)
 	defer func() {
 		res.Stats.Duration = lim.elapsed()
@@ -79,7 +83,7 @@ func DFS(p *core.Protocol, opts Options) (result *Result, err error) {
 			return nil, nil
 		}
 		chosen := exp.Expand(s, enabled, sinfo)
-		succs, err := execAll(p, s, chosen, canon)
+		succs, err := execAll(p, &step, s, chosen, canon, has)
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +98,7 @@ func DFS(p *core.Protocol, opts Options) (result *Result, err error) {
 			// forever.
 			res.Stats.ProvisoExpansions++
 			res.Stats.FullExpansions++
-			return execAll(p, s, enabled, canon)
+			return execAll(p, &step, s, enabled, canon, has)
 		}
 		res.Stats.ReducedExpansions++
 		return succs, nil
@@ -143,7 +147,7 @@ func DFS(p *core.Protocol, opts Options) (result *Result, err error) {
 		sc := f.succs[f.next]
 		f.next++
 		res.Stats.Events++
-		if store.Seen(sc.key) {
+		if sc.st == nil || store.Seen(sc.key) {
 			res.Stats.Revisits++
 			continue
 		}
@@ -187,14 +191,24 @@ func DFS(p *core.Protocol, opts Options) (result *Result, err error) {
 // and goes when ROADMAP item 0b moves that file onto the mpbasset facade.
 func ParallelDFS(p *core.Protocol, opts Options) (*Result, error) { return DFS(p, opts) }
 
-func execAll(p *core.Protocol, s *core.State, events []core.Event, canon func(*core.State) string) ([]dfsSucc, error) {
+// execAll computes the successors of s under events, stepping each into
+// step and canonicalizing the transient view. A successor whose key has
+// already holds keeps only its event and key (st stays nil), and the
+// engines count it as a revisit without probing again. Every other
+// successor is kept; with a nil has, all of them are.
+func execAll(p *core.Protocol, step *core.StepBuffer, s *core.State, events []core.Event, canon func(*core.State) string, has HasStore) ([]dfsSucc, error) {
 	succs := make([]dfsSucc, 0, len(events))
 	for _, ev := range events {
-		ns, err := p.Execute(s, ev)
+		view, err := p.Step(step, s, ev)
 		if err != nil {
 			return nil, err
 		}
-		succs = append(succs, dfsSucc{ev: ev, st: ns, key: canon(ns)})
+		sc := dfsSucc{ev: ev, key: canon(view)}
+		//lint:has-ok stores are insert-only, so a key Has holds now is one Seen reports as present when the engine reaches this successor; a stale false only keeps a successor the probe could have dropped
+		if has == nil || !has.Has(sc.key) {
+			sc.st = step.Keep()
+		}
+		succs = append(succs, sc)
 	}
 	return succs, nil
 }

@@ -72,6 +72,15 @@
 //     which the facade therefore refuses to combine with DPOR, stateless
 //     search or liveness properties.
 //
+// DFS and BFS ask the store about a successor before they keep it: each
+// chosen event is stepped into one reused core.StepBuffer, the transient
+// view is canonicalized, and when the store is a HasStore that already
+// holds the key, only the event and key are kept and the successor counts
+// as a revisit without a second probe. Stores are insert-only, so this
+// drops exactly the successors a later Seen would have reported present:
+// counts, traces and the provisos are those of keeping every successor.
+// The other engines, and stores without Has, keep every successor.
+//
 // Orthogonally, the Canon hook rewrites the key the store sees: package
 // symmetry canonicalizes orbits, and Collapser (collapse compression, in
 // the sense of Spin's COLLAPSE mode) interns per-process components so a

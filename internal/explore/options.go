@@ -78,7 +78,10 @@ type Options struct {
 	Store Store
 	// Canon maps a state to the key used for visited-set membership and
 	// stack identity. Nil means core.(*State).Key. Package symmetry
-	// provides canonicalizing implementations.
+	// provides canonicalizing implementations. DFS and BFS hand Canon the
+	// transient view core.Protocol.Step returns (see core.StepBuffer), so
+	// Canon must not retain the state or anything reached through it except
+	// strings.
 	Canon func(*core.State) string
 	// MaxStates stops the search after this many distinct states
 	// discovered by the run (stateless: visited nodes); 0 means

@@ -82,24 +82,47 @@ func diffEngines() []diffEngine {
 func suiteModels(t *testing.T) map[string]*core.Protocol {
 	t.Helper()
 	models := map[string]*core.Protocol{}
-	add := func(name string, p *core.Protocol, err error) {
+	for name, m := range suiteModelsWithRoles(t) {
+		models[name] = m.p
+	}
+	return models
+}
+
+// suiteModel is a suite protocol with its symmetric process roles (nil for
+// the trap, which has none).
+type suiteModel struct {
+	p     *core.Protocol
+	roles [][]core.ProcessID
+}
+
+// suiteModelsWithRoles is suiteModels with each model's roles, for the
+// tests that also run the symmetry canon.
+func suiteModelsWithRoles(t *testing.T) map[string]suiteModel {
+	t.Helper()
+	models := map[string]suiteModel{}
+	add := func(name string, p *core.Protocol, err error, roles [][]core.ProcessID) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		models[name] = p
+		models[name] = suiteModel{p, roles}
 	}
-	px, err := paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1})
-	add("paxos-231", px, err)
-	fx, err := paxos.New(paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1, Faulty: true})
-	add("faulty-paxos-231", fx, err)
-	mc, err := multicast.New(multicast.Config{HonestReceivers: 2, HonestInitiators: 1, ByzantineInitiators: 1})
-	add("multicast-2101", mc, err)
-	st, err := storage.New(storage.Config{Objects: 3, Readers: 1})
-	add("storage-31", st, err)
-	ws, err := storage.New(storage.Config{Objects: 3, Readers: 2, WrongRegularity: true})
-	add("storage-32-wrong", ws, err)
+	pc := paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1}
+	px, err := paxos.New(pc)
+	add("paxos-231", px, err, pc.Roles())
+	fc := paxos.Config{Proposers: 2, Acceptors: 3, Learners: 1, Faulty: true}
+	fx, err := paxos.New(fc)
+	add("faulty-paxos-231", fx, err, fc.Roles())
+	mcc := multicast.Config{HonestReceivers: 2, HonestInitiators: 1, ByzantineInitiators: 1}
+	mc, err := multicast.New(mcc)
+	add("multicast-2101", mc, err, mcc.Roles())
+	sc := storage.Config{Objects: 3, Readers: 1}
+	st, err := storage.New(sc)
+	add("storage-31", st, err, sc.Roles())
+	wc := storage.Config{Objects: 3, Readers: 2, WrongRegularity: true}
+	ws, err := storage.New(wc)
+	add("storage-32-wrong", ws, err, wc.Roles())
 	trap, err := mptest.IgnoringTrap(4)
-	add("ignoring-trap-4", trap, err)
+	add("ignoring-trap-4", trap, err, nil)
 	return models
 }
 

@@ -27,6 +27,7 @@ func StatelessDFS(p *core.Protocol, opts Options) (*Result, error) {
 		exp     = opts.expander()
 		lim     = newLimiter(opts)
 		limited bool
+		step    core.StepBuffer
 	)
 	if lim.maxDepth == 0 {
 		lim.maxDepth = defaultStatelessDepth
@@ -56,7 +57,7 @@ func StatelessDFS(p *core.Protocol, opts Options) (*Result, error) {
 				res.Stats.FullExpansions++
 			}
 			var err error
-			if succs, err = execAll(p, s, chosen, canon); err != nil {
+			if succs, err = execAll(p, &step, s, chosen, canon, nil); err != nil {
 				return err
 			}
 		}

@@ -5,7 +5,9 @@ import (
 	"math/bits"
 )
 
-// Store is the visited-state set of a stateful search.
+// Store is the visited-state set of a stateful search. Stores are
+// insert-only: once Seen has recorded a key, every later Seen of it reports
+// it present.
 type Store interface {
 	// Seen records key and reports whether it was already present.
 	Seen(key string) bool
@@ -27,13 +29,23 @@ type BatchStore interface {
 	SeenBatch(keys []string) []bool
 }
 
-// HasStore is a Store with a non-mutating membership probe. The sequential
-// BFS engine needs it for the queue variant of the ignoring proviso (C3):
-// deciding whether a reduced expansion discovered anything new must not
-// itself record the probed keys. All stores of this package implement it;
-// for a caller-supplied store without Has the proviso degrades
-// conservatively (every reduced expansion is promoted to a full one —
-// sound, merely unreduced).
+// HasStore is a Store with a non-mutating membership probe. Because stores
+// are insert-only, Has(k) true implies that every later Seen(k) is true.
+//
+// DFS and BFS probe each successor's key before they keep the successor:
+// one the store already holds keeps only its event and key, and counts as
+// a revisit without a second probe. For that use a stale false is allowed,
+// and a wrapper may always answer false; it only costs a successor kept
+// that could have been dropped. The sequential BFS engine also needs Has
+// for the queue variant of the ignoring proviso (C3): deciding whether a
+// reduced expansion discovered anything new must not itself record the
+// probed keys. The proviso reads a false as "not visited before this
+// level", so a store that answers false for a key it holds keeps reduced
+// expansions the proviso should promote; a wrapper that cannot answer
+// exactly should not offer Has to a reduced BFS. All stores of this package
+// implement it; without Has, DFS and BFS keep every successor and the
+// proviso degrades conservatively (every reduced expansion is promoted to
+// a full one — sound, merely unreduced).
 type HasStore interface {
 	Store
 	// Has reports whether key was already recorded, without recording it.

@@ -11,9 +11,12 @@ import (
 // "false" when its inner store cannot answer, and the spill tier may
 // answer from disk state that concurrent inserts are still moving.
 // Branching on it to skip an insert, skip an expansion, or shape a verdict
-// is only sound at sites whose surrounding algorithm tolerates both stale
-// answers — today the BFS queue proviso's level snapshot. Every other call
-// in a deterministic package is reported.
+// is only sound at sites whose surrounding algorithm tolerates the stale
+// answers it can get — today the BFS queue proviso's level snapshot, and
+// the successor probe of DFS and BFS, which drops only successors Has
+// reports present (stores are insert-only, so a true answer stays true)
+// and keeps the rest. Every other call in a deterministic package is
+// reported.
 //
 // Escapes: a method itself named Has (interface delegation is how the
 // store wrappers compose), or `//lint:has-ok <reason>` citing why a stale
